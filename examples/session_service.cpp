@@ -1,7 +1,6 @@
 // Serving audits from a long-lived session: open one AuditSession over
 // a synthetic dataset, serve typed api::AuditRequests (repeats are
-// cache hits, a DetectMany batch dedupes identical queries, a
-// streaming sink sees per-k results as they are finalized), absorb
+// cache hits, a DetectMany batch dedupes identical queries), absorb
 // score updates and appended rows through the incremental ranking
 // maintenance, and print the session's service counters — the
 // programmatic twin of `tools/fairtopk_serve`.
@@ -36,24 +35,6 @@ void PrintTopGroups(const AuditSession& session,
   }
   std::printf("%s\n", result.AtK(k).empty() ? " (none)" : "");
 }
-
-/// A streaming consumer: counts per-k batches as the detector
-/// finalizes them (nothing is materialized on this side).
-class ViolationCounter : public ResultSink {
- public:
-  Status OnResult(int k, std::vector<Pattern> patterns) override {
-    ks_seen_ += 1;
-    violations_ += patterns.size();
-    (void)k;
-    return Status::OK();
-  }
-  size_t ks_seen() const { return ks_seen_; }
-  size_t violations() const { return violations_; }
-
- private:
-  size_t ks_seen_ = 0;
-  size_t violations_ = 0;
-};
 
 }  // namespace
 
@@ -110,16 +91,6 @@ int main() {
   std::printf("  batch of 4 served (%zu deduplicated)\n",
               static_cast<size_t>((*batch)[2].cached) +
                   static_cast<size_t>((*batch)[3].cached));
-
-  // Streaming: per-k results flow through a sink as the (cached)
-  // detection replays — a live run would stream identically.
-  ViolationCounter counter;
-  if (Status s = session->DetectStream(PropRequest(1), counter); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("  streamed %zu ks, %zu violation reports\n",
-              counter.ks_seen(), counter.violations());
 
   // Maintenance: nudge 1% of the rows, then append a fresh batch. The
   // ranking and bitmap index are maintained incrementally (suffix

@@ -1,5 +1,6 @@
 #include "api/audit.h"
 
+#include <cmath>
 #include <utility>
 
 #include "api/canonical.h"
@@ -32,21 +33,31 @@ Result<const DetectorDescriptor*> ResolveRequest(
   return descriptor;
 }
 
-Status RunAuditStream(const DetectionInput& input,
-                      const AuditRequest& request, ResultSink& sink,
-                      const DetectorRegistry& registry) {
-  FAIRTOPK_ASSIGN_OR_RETURN(const DetectorDescriptor* descriptor,
-                            ResolveRequest(request, registry));
-  metrics::SpanTimer span(request.trace, "search");
-  return descriptor->run(input, request.bounds, request.config, sink);
-}
-
 Result<DetectionResult> RunAudit(const DetectionInput& input,
                                  const AuditRequest& request,
                                  const DetectorRegistry& registry) {
-  return MaterializeStream(input, request.config, [&](ResultSink& sink) {
-    return RunAuditStream(input, request, sink, registry);
-  });
+  FAIRTOPK_ASSIGN_OR_RETURN(const DetectorDescriptor* descriptor,
+                            ResolveRequest(request, registry));
+  metrics::SpanTimer span(request.trace, "search");
+  return descriptor->run(input, request.bounds, request.config);
+}
+
+std::vector<RepresentationConstraint> RepairConstraints(
+    const DetectionResult& detected, const BoundsSpec& bounds,
+    const DetectionInput& input) {
+  if (const auto* global = std::get_if<GlobalBoundSpec>(&bounds)) {
+    return ConstraintsFromDetection(detected, *global);
+  }
+  const auto& prop = std::get<PropBoundSpec>(bounds);
+  std::vector<RepresentationConstraint> constraints;
+  for (const Pattern& p : detected.AllDistinct()) {
+    const double floor_at_kmax =
+        prop.LowerAt(static_cast<int>(input.index().PatternCount(p)),
+                     detected.k_max(), input.num_rows());
+    constraints.push_back(
+        {p, StepFunction::Constant(std::ceil(floor_at_kmax))});
+  }
+  return constraints;
 }
 
 }  // namespace fairtopk::api

@@ -4,10 +4,11 @@
 // An AuditRequest names a registered detector and carries exactly the
 // parameterization it consumes (DetectionConfig + the matching
 // BoundsSpec alternative); an AuditResponse pairs the detection result
-// with the descriptor that produced it. RunAuditStream / RunAudit are
-// the one-shot facade over a prepared DetectionInput — the CLI tools
-// and examples go through them, the session layer adds caching and
-// incremental maintenance on top (service/audit_session.h).
+// with the descriptor that produced it. RunAudit is the one-shot
+// facade over a prepared DetectionInput: it runs the detector's one
+// entry point and returns the whole DetectionResult. The examples go
+// through it; the session layer adds caching and incremental
+// maintenance on top (service/audit_session.h).
 //
 //   api::AuditRequest request;
 //   request.detector = "GlobalBounds";
@@ -20,13 +21,14 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/bounds_spec.h"
 #include "api/detector_registry.h"
 #include "common/metrics/trace.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
+#include "mitigate/rerank.h"
 
 namespace fairtopk::api {
 
@@ -40,7 +42,7 @@ struct AuditRequest {
   BoundsSpec bounds = PropBoundSpec{};
 
   /// Optional per-request trace hook (not owned; may be null — the
-  /// zero-cost default). When set, RunAuditStream reports a "search"
+  /// zero-cost default). When set, RunAudit reports a "search"
   /// span covering the detector run, and the session layer adds
   /// lock-acquire spans plus the result's DetectionStats counters.
   /// Excluded from CacheKey: tracing never changes results, so traced
@@ -79,19 +81,23 @@ Result<const DetectorDescriptor*> ResolveRequest(
     const AuditRequest& request,
     const DetectorRegistry& registry = DetectorRegistry::Global());
 
-/// Runs the request's detector over a prepared input, streaming per-k
-/// violation sets into `sink` as they are finalized (nothing is
-/// materialized here).
-Status RunAuditStream(const DetectionInput& input,
-                      const AuditRequest& request, ResultSink& sink,
-                      const DetectorRegistry& registry =
-                          DetectorRegistry::Global());
-
-/// Materializing facade over RunAuditStream.
+/// Runs the request's detector over a prepared input and returns its
+/// per-k violation sets for the whole [k_min, k_max] range.
 Result<DetectionResult> RunAudit(const DetectionInput& input,
                                  const AuditRequest& request,
                                  const DetectorRegistry& registry =
                                      DetectorRegistry::Global());
+
+/// Turns the groups of a lower-bound detection into the representation
+/// floors that repair them — the one function behind `fairtopk_audit
+/// --rerank` and the `rerank` op. Global bounds floor every group at
+/// the lower staircase; proportional bounds at the constant
+/// ceil(alpha * s_D(p) * k_max / |D|), a conservative approximation of
+/// the band. Reads group sizes from `input`'s index: callers sharing
+/// the input with writers hold its read lock.
+std::vector<RepresentationConstraint> RepairConstraints(
+    const DetectionResult& detected, const BoundsSpec& bounds,
+    const DetectionInput& input);
 
 }  // namespace fairtopk::api
 

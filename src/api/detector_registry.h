@@ -6,10 +6,11 @@
 // string tables in the session layer, the JSONL protocol, and both
 // CLI tools. The registry replaces all of that: a detector registers
 // ONE descriptor — stable name, problem family, bounds kind,
-// baseline/optimized flag, and a streaming run function over the
-// shared engine — and every front-end (AuditSession, JSONL service,
-// CLI tools, capabilities listing) resolves it from here. Adding a
-// detector is one Register() call; no switch anywhere grows a case.
+// baseline/optimized flag, and a run function over the shared engine
+// returning the whole DetectionResult — and every front-end
+// (AuditSession, JSONL service, CLI tools, capabilities listing)
+// resolves it from here. Adding a detector is one Register() call; no
+// switch anywhere grows a case.
 #ifndef FAIRTOPK_API_DETECTOR_REGISTRY_H_
 #define FAIRTOPK_API_DETECTOR_REGISTRY_H_
 
@@ -21,7 +22,6 @@
 #include "api/bounds_spec.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk::api {
 
@@ -52,12 +52,12 @@ struct DetectorDescriptor {
   /// One-line description, surfaced by the `capabilities` op.
   std::string summary;
 
-  /// Streaming run over a prepared input. Precondition (enforced by
-  /// the AuditRequest facade): `bounds` holds the `bounds_kind`
-  /// alternative.
-  using RunFn = Status (*)(const DetectionInput& input,
-                           const BoundsSpec& bounds,
-                           const DetectionConfig& config, ResultSink& sink);
+  /// Runs the detector over a prepared input for the whole
+  /// [k_min, k_max] range. Precondition (enforced by the AuditRequest
+  /// facade): `bounds` holds the `bounds_kind` alternative.
+  using RunFn = Result<DetectionResult> (*)(const DetectionInput& input,
+                                            const BoundsSpec& bounds,
+                                            const DetectionConfig& config);
   RunFn run = nullptr;
 };
 

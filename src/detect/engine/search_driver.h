@@ -24,11 +24,8 @@
 //     sequential path executes the very same branch/merge sequence.
 //     Per-worker DetectionStats are merged on join, never shared.
 //
-// Result delivery is streaming: detectors emit each k's finalized
-// violation set through a ResultSink (engine/result_sink.h) via the
-// StreamPerK driver below, so callers can consume results
-// incrementally; the Result<DetectionResult> entry points are a
-// MaterializingSink on top.
+// Result delivery: every detector fills its DetectionResult through
+// DetectPerK below, one finalized violation set per k.
 #ifndef FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 #define FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 
@@ -42,7 +39,6 @@
 
 #include "common/timer.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 #include "index/bitmap_index.h"
 #include "index/pattern_cursor.h"
 #include "pattern/pattern.h"
@@ -221,30 +217,27 @@ void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
   }
 }
 
-/// The per-k streaming driver every detection algorithm runs through:
-/// invokes `per_k(k, stats)` for each k in [config.k_min,
-/// config.k_max] in ascending order and hands its finalized violation
-/// set straight to `sink` — nothing is materialized here. `per_k` may
-/// carry state across ks (the incremental algorithms do) and
-/// accumulates work counters into the passed DetectionStats; the
-/// driver owns the wall clock and the final OnStats call, enforcing
-/// the ResultSink contract in one place. A sink error aborts the run
-/// (the remaining ks are never searched). The wall clock covers the
-/// per_k searches only — time spent inside the caller's sink is NOT
-/// detection time, so a slow streaming consumer cannot inflate
-/// `seconds` (which PR 3 deliberately keeps honest vs cpu_seconds).
+/// The per-k loop every detection algorithm runs through: validates
+/// `config` against `input` before the [k_min, k_max] result is
+/// allocated, then invokes `per_k(k, stats)` for each k in ascending
+/// order and stores the finalized violation set it returns. `per_k`
+/// may carry state across ks (the incremental algorithms do) and
+/// accumulates work counters into the passed DetectionStats. The wall
+/// clock `seconds` covers the per_k searches only.
 template <typename PerKFn>
-Status StreamPerK(const DetectionConfig& config, ResultSink& sink,
-                  const PerKFn& per_k) {
-  DetectionStats stats;
+Result<DetectionResult> DetectPerK(const DetectionInput& input,
+                                   const DetectionConfig& config,
+                                   const PerKFn& per_k) {
+  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
+  DetectionResult result(config.k_min, config.k_max);
+  DetectionStats& stats = result.stats();
   for (int k = config.k_min; k <= config.k_max; ++k) {
     WallTimer timer;
     std::vector<Pattern> batch = per_k(k, stats);
     stats.seconds += timer.ElapsedSeconds();
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, std::move(batch)));
+    result.MutableAtK(k) = std::move(batch);
   }
-  sink.OnStats(stats);
-  return Status::OK();
+  return result;
 }
 
 /// Output of a most-general below-bound search: Res and DRes of

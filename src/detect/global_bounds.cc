@@ -8,11 +8,9 @@
 
 namespace fairtopk {
 
-Status DetectGlobalBoundsStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
+Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
+                                           const GlobalBoundSpec& bounds,
+                                           const DetectionConfig& config) {
   if (!bounds.lower.IsNonDecreasing()) {
     return Status::InvalidArgument(
         "GLOBALBOUNDS assumes non-decreasing lower bounds (footnote 3 of "
@@ -25,8 +23,8 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
   MostGeneralResultSet res;
   std::vector<Pattern> deferred;
 
-  return engine::StreamPerK(config, sink, [&](int k, DetectionStats& stats)
-                                              -> std::vector<Pattern> {
+  return engine::DetectPerK(input, config, [&](int k, DetectionStats& stats)
+                                                -> std::vector<Pattern> {
     DetectionStats* sp = &stats;
     const double lower = bounds.lower.At(k);
     const auto flat_bound = [lower](size_t) { return lower; };
@@ -98,14 +96,6 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
     }
 
     return res.Sorted();
-  });
-}
-
-Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
-                                           const GlobalBoundSpec& bounds,
-                                           const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalBoundsStream(input, bounds, config, sink);
   });
 }
 

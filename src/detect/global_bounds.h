@@ -4,25 +4,20 @@
 // satisfies can change status (Proposition 4.3); everything else is
 // carried over. When the staircase steps up, a fresh top-down search is
 // issued, as in the paper.
+//
+// One entry point returns the per-k violation sets of the whole
+// [k_min, k_max] range as a DetectionResult.
 #ifndef FAIRTOPK_DETECT_GLOBAL_BOUNDS_H_
 #define FAIRTOPK_DETECT_GLOBAL_BOUNDS_H_
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Optimized detection of groups violating global lower bounds
-/// (Problem 3.1, lower bounds), streamed per k. Produces the same
-/// per-k results as DetectGlobalIterTD while visiting fewer pattern
-/// nodes.
-Status DetectGlobalBoundsStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink);
-
-/// Materializing wrapper over DetectGlobalBoundsStream.
+/// (Problem 3.1, lower bounds). Produces the same per-k results as
+/// DetectGlobalIterTD while visiting fewer pattern nodes.
 Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
                                            const GlobalBoundSpec& bounds,
                                            const DetectionConfig& config);

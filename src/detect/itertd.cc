@@ -6,13 +6,11 @@
 
 namespace fairtopk {
 
-Status DetectGlobalIterTDStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
-  return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+Result<DetectionResult> DetectGlobalIterTD(const DetectionInput& input,
+                                           const GlobalBoundSpec& bounds,
+                                           const DetectionConfig& config) {
+  return engine::DetectPerK(
+      input, config, [&](int k, DetectionStats& stats) {
         const double lower = bounds.lower.At(k);
         TopDownOutcome outcome = TopDownSearch(
             input.index(), config.size_threshold, k,
@@ -21,25 +19,15 @@ Status DetectGlobalIterTDStream(const DetectionInput& input,
       });
 }
 
-Result<DetectionResult> DetectGlobalIterTD(const DetectionInput& input,
-                                           const GlobalBoundSpec& bounds,
-                                           const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalIterTDStream(input, bounds, config, sink);
-  });
-}
-
-Status DetectPropIterTDStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
+Result<DetectionResult> DetectPropIterTD(const DetectionInput& input,
+                                         const PropBoundSpec& bounds,
+                                         const DetectionConfig& config) {
   if (bounds.alpha <= 0.0) {
     return Status::InvalidArgument("alpha must be positive");
   }
   const size_t n = input.num_rows();
-  return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+  return engine::DetectPerK(
+      input, config, [&](int k, DetectionStats& stats) {
         // Evaluate the bound through PropBoundSpec::LowerAt so every
         // algorithm (and test oracle) shares one floating-point
         // evaluation order; boundary cases like bound == count would
@@ -52,14 +40,6 @@ Status DetectPropIterTDStream(const DetectionInput& input,
             &stats, config.num_threads);
         return outcome.result.Sorted();
       });
-}
-
-Result<DetectionResult> DetectPropIterTD(const DetectionInput& input,
-                                         const PropBoundSpec& bounds,
-                                         const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropIterTDStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

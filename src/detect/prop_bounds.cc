@@ -312,19 +312,17 @@ class PropSearch {
 
 }  // namespace
 
-Status DetectPropBoundsStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
+Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
+                                         const PropBoundSpec& bounds,
+                                         const DetectionConfig& config) {
   if (bounds.alpha <= 0.0) {
     return Status::InvalidArgument("alpha must be positive");
   }
   // The search state is built on the first iteration so it can bind to
   // the driver's DetectionStats (one object for the whole run).
   std::optional<PropSearch> search;
-  return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+  return engine::DetectPerK(
+      input, config, [&](int k, DetectionStats& stats) {
         if (!search.has_value()) {
           search.emplace(input.index(), bounds, config, &stats);
           search->InitialSearch();
@@ -333,14 +331,6 @@ Status DetectPropBoundsStream(const DetectionInput& input,
         }
         return search->Snapshot();
       });
-}
-
-Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
-                                         const PropBoundSpec& bounds,
-                                         const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropBoundsStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

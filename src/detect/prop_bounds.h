@@ -14,26 +14,20 @@
 //       line 6.
 // Because counts only grow, a stored k-tilde is always a lower bound on
 // the true transition rank: stale entries fire early, are re-checked
-// against fresh counts, and re-registered — never missed.
+// against fresh counts, and re-registered — never missed. One entry
+// point returns the per-k violation sets of the whole [k_min, k_max]
+// range as a DetectionResult.
 #ifndef FAIRTOPK_DETECT_PROP_BOUNDS_H_
 #define FAIRTOPK_DETECT_PROP_BOUNDS_H_
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Optimized detection of groups with biased proportional
-/// representation (Problem 3.2, lower bounds), streamed per k.
-/// Produces the same per-k results as DetectPropIterTD while visiting
-/// fewer pattern nodes.
-Status DetectPropBoundsStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink);
-
-/// Materializing wrapper over DetectPropBoundsStream.
+/// representation (Problem 3.2, lower bounds). Produces the same per-k
+/// results as DetectPropIterTD while visiting fewer pattern nodes.
 Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
                                          const PropBoundSpec& bounds,
                                          const DetectionConfig& config);

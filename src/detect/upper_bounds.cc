@@ -28,13 +28,11 @@ struct AboveLinear {
 
 }  // namespace
 
-Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
-                                     const GlobalBoundSpec& bounds,
-                                     const DetectionConfig& config,
-                                     ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
-  return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+Result<DetectionResult> DetectGlobalUpperBounds(
+    const DetectionInput& input, const GlobalBoundSpec& bounds,
+    const DetectionConfig& config) {
+  return engine::DetectPerK(
+      input, config, [&](int k, DetectionStats& stats) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k),
                                           config.num_threads};
@@ -46,25 +44,15 @@ Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
       });
 }
 
-Result<DetectionResult> DetectGlobalUpperBounds(
-    const DetectionInput& input, const GlobalBoundSpec& bounds,
-    const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalUpperBoundsStream(input, bounds, config, sink);
-  });
-}
-
-Status DetectPropUpperBoundsStream(const DetectionInput& input,
-                                   const PropBoundSpec& bounds,
-                                   const DetectionConfig& config,
-                                   ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
+Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
+                                              const PropBoundSpec& bounds,
+                                              const DetectionConfig& config) {
   if (bounds.beta <= bounds.alpha) {
     return Status::InvalidArgument("beta must exceed alpha");
   }
   const double n = static_cast<double>(input.num_rows());
-  return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+  return engine::DetectPerK(
+      input, config, [&](int k, DetectionStats& stats) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k),
                                           config.num_threads};
@@ -74,14 +62,6 @@ Status DetectPropUpperBoundsStream(const DetectionInput& input,
                 input.index(), params, AboveLinear{factor}, &stats);
         return res.Sorted();
       });
-}
-
-Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
-                                              const PropBoundSpec& bounds,
-                                              const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropUpperBoundsStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

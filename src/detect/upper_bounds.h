@@ -6,36 +6,24 @@
 // information. Following the paper, a pattern is reported when it is
 // substantial (size >= tau_s), its top-k count exceeds the upper bound,
 // and no substantial proper specialization also exceeds the bound.
+// Each detector is one entry point returning the per-k violation sets
+// of the whole [k_min, k_max] range as a DetectionResult.
 #ifndef FAIRTOPK_DETECT_UPPER_BOUNDS_H_
 #define FAIRTOPK_DETECT_UPPER_BOUNDS_H_
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Detects, for each k, the most specific substantial patterns whose
-/// top-k count strictly exceeds the global upper bound U_k, streamed
-/// per k.
-Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
-                                     const GlobalBoundSpec& bounds,
-                                     const DetectionConfig& config,
-                                     ResultSink& sink);
-
-/// Materializing wrapper over DetectGlobalUpperBoundsStream.
+/// top-k count strictly exceeds the global upper bound U_k.
 Result<DetectionResult> DetectGlobalUpperBounds(const DetectionInput& input,
                                                 const GlobalBoundSpec& bounds,
                                                 const DetectionConfig& config);
 
 /// Proportional variant: reports the most specific substantial patterns
-/// with s_Rk(p) > beta * s_D(p) * k / |D|, streamed per k.
-Status DetectPropUpperBoundsStream(const DetectionInput& input,
-                                   const PropBoundSpec& bounds,
-                                   const DetectionConfig& config,
-                                   ResultSink& sink);
-
-/// Materializing wrapper over DetectPropUpperBoundsStream.
+/// with s_Rk(p) > beta * s_D(p) * k / |D|.
 Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
                                               const PropBoundSpec& bounds,
                                               const DetectionConfig& config);

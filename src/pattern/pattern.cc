@@ -96,6 +96,36 @@ std::string Pattern::ToString(const PatternSpace& space) const {
   return out;
 }
 
+Result<Pattern> PatternFromLabels(
+    const std::vector<std::pair<std::string, std::string>>& labels,
+    const PatternSpace& space) {
+  Pattern pattern = Pattern::Empty(space.num_attributes());
+  for (const auto& [name, label] : labels) {
+    size_t a = 0;
+    while (a < space.num_attributes() && space.name(a) != name) ++a;
+    if (a == space.num_attributes()) {
+      return Status::NotFound("attribute '" + name +
+                              "' not in the pattern space");
+    }
+    // Re-assignment would silently audit whichever label came last.
+    if (pattern.value(a) != Pattern::kUnspecified) {
+      return Status::InvalidArgument("attribute '" + name +
+                                     "' assigned twice in the group");
+    }
+    int16_t v = 0;
+    while (v < space.domain_size(a) && space.label(a, v) != label) ++v;
+    if (v == space.domain_size(a)) {
+      return Status::NotFound("value '" + label + "' not in the domain of '" +
+                              name + "'");
+    }
+    pattern.SetValue(a, v);
+  }
+  if (pattern.IsEmpty()) {
+    return Status::InvalidArgument("group assigns no attributes");
+  }
+  return pattern;
+}
+
 size_t PatternHash::operator()(const Pattern& p) const {
   // FNV-1a over the value vector; values are small so bytes of the
   // int16 representation suffice.

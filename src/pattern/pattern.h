@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -163,6 +164,14 @@ class Pattern {
  private:
   std::vector<int16_t> values_;
 };
+
+/// Decodes (attribute name, value label) pairs into a pattern over
+/// `space`: the one group decoder behind `fairtopk_audit --verify` and
+/// the `verify` op. An unknown name or label is NOT_FOUND; an attribute
+/// assigned twice, or no assignment at all, is INVALID_ARGUMENT.
+Result<Pattern> PatternFromLabels(
+    const std::vector<std::pair<std::string, std::string>>& labels,
+    const PatternSpace& space);
 
 /// Hash functor so patterns can key unordered containers.
 struct PatternHash {

@@ -489,53 +489,6 @@ Result<std::shared_ptr<const DetectionResult>> AuditSession::RunAndPublish(
   return shared;
 }
 
-Status AuditSession::DetectStream(const api::AuditRequest& request,
-                                  ResultSink& sink) {
-  FAIRTOPK_RETURN_IF_ERROR(api::ResolveRequest(request).status());
-  // Replay is served OUTSIDE the state lock: the pinned result is
-  // immutable and owned, so a sink that re-enters the session (a
-  // follow-up Detect evicting this entry, an explicit InvalidateCache)
-  // is safe — and must not free the result mid-iteration.
-  std::shared_ptr<const DetectionResult> pinned;
-  {
-    std::shared_lock<std::shared_mutex> state_lock(sync_->state,
-                                                   std::defer_lock);
-    AcquireTimed(state_lock, SessionMetrics::Get().shared_wait, request.trace,
-                 "session_acquire");
-    FAIRTOPK_RETURN_IF_ERROR(input_.ValidateConfig(request.config));
-    Bump(&SessionServiceStats::detect_queries);
-    if (options_.cache_capacity == 0) {
-      // Pure streaming: the per-k sets flow straight through `sink`,
-      // nothing is materialized.
-      if (metrics::Enabled()) SessionMetrics::Get().cache_miss.Inc();
-      return api::RunAuditStream(input_, request, sink);
-    }
-    std::string key = request.CacheKey();
-    {
-      std::lock_guard<std::mutex> cache_lock(sync_->cache);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) pinned = it->second;
-    }
-    if (pinned == nullptr) {
-      // Tee the live run: materialize a cache entry while streaming
-      // the same batches to the caller.
-      if (metrics::Enabled()) SessionMetrics::Get().cache_miss.Inc();
-      MaterializingSink materialize(request.config.k_min,
-                                    request.config.k_max);
-      TeeSink tee(materialize, sink);
-      FAIRTOPK_RETURN_IF_ERROR(api::RunAuditStream(input_, request, tee));
-      auto shared = std::make_shared<const DetectionResult>(
-          std::move(materialize).TakeResult());
-      std::lock_guard<std::mutex> cache_lock(sync_->cache);
-      CacheInsertLocked(std::move(key), std::move(shared));
-      return Status::OK();
-    }
-    Bump(&SessionServiceStats::cache_hits);
-    if (metrics::Enabled()) SessionMetrics::Get().cache_hit.Inc();
-  }
-  return ReplayResult(*pinned, sink);
-}
-
 Result<std::vector<api::AuditResponse>> AuditSession::DetectMany(
     const std::vector<api::AuditRequest>& requests) {
   const size_t n = requests.size();
@@ -597,15 +550,6 @@ Result<std::vector<api::AuditResponse>> AuditSession::DetectMany(
 
 void AuditSession::CacheInsertLocked(
     std::string key, std::shared_ptr<const DetectionResult> result) {
-  // A re-entrant or racing insert (a sink calling back into the
-  // session during a live DetectStream, two concurrent streams of the
-  // same query) may have inserted this key already: replace the value
-  // in place so cache_order_ never carries duplicate entries (which
-  // would skew FIFO eviction and shrink effective capacity).
-  if (auto it = cache_.find(key); it != cache_.end()) {
-    it->second = std::move(result);
-    return;
-  }
   while (cache_.size() >= options_.cache_capacity && !cache_order_.empty()) {
     cache_.erase(cache_order_.front());
     cache_order_.pop_front();

@@ -8,13 +8,13 @@
 //  * Query layer. Detect() serves any registered detector (the
 //    paper's six live in api::DetectorRegistry) named by a typed
 //    api::AuditRequest with per-query DetectionConfig (including
-//    num_threads); DetectStream() delivers per-k results through a
-//    ResultSink as they are finalized, DetectMany() runs a batch
-//    against the one prepared input deduping identical cache keys (and
-//    running the distinct members concurrently when the session has a
-//    batch executor); Suggest(), Verify() and Repair() expose
-//    calibration, single-group verification, and the rerank mitigation
-//    against the same prepared input.
+//    num_threads) and returns the whole DetectionResult; DetectMany()
+//    runs a batch through Detect() against the one prepared input,
+//    deduping identical cache keys (and running the distinct members
+//    concurrently when the session has a batch executor); Suggest(),
+//    Verify() and Repair() expose calibration, single-group
+//    verification, and the rerank mitigation against the same prepared
+//    input.
 //
 //  * Result cache. Detect() results are cached under the request's
 //    canonical cache key (api/canonical.h; num_threads is
@@ -33,10 +33,10 @@
 //
 // Concurrency model (the contract README.md documents):
 //
-//  * Readers share, writers exclude. Detect / DetectStream /
-//    DetectMany / Suggest / VerifyGlobal / VerifyProp / Repair take a
-//    shared lock on the session state and may run concurrently with
-//    each other (each query may additionally fan out internally via
+//  * Readers share, writers exclude. Detect / DetectMany / Suggest /
+//    VerifyGlobal / VerifyProp / Repair take a shared lock on the
+//    session state and may run concurrently with each other (each
+//    query may additionally fan out internally via
 //    DetectionConfig::num_threads — the two axes multiply).
 //    ApplyScoreUpdates / AppendRows* take the exclusive side: they
 //    wait for in-flight queries to drain and block new ones while the
@@ -52,20 +52,16 @@
 //    owner admitted.
 //
 //  * Cache. The FIFO result cache has its own lock; InvalidateCache()
-//    only takes that lock, so a streaming sink may call it re-entrantly.
-//    A run that was in flight when an explicit InvalidateCache()
-//    happened may publish afterwards — still exact, since explicit
-//    invalidation does not change the ranking. Maintenance-triggered
-//    invalidation runs under the exclusive state lock, where no run can
-//    be in flight.
+//    only takes that lock. A run that was in flight when an explicit
+//    InvalidateCache() happened may publish afterwards — still exact,
+//    since explicit invalidation does not change the ranking.
+//    Maintenance-triggered invalidation runs under the exclusive state
+//    lock, where no run can be in flight.
 //
 //  * Raw accessors (table() / input() / ranking() / scores()) return
 //    references into the guarded state: when writers may run
 //    concurrently, hold ReadLock() across the access and every use of
-//    the referenced data. Sinks passed to a LIVE DetectStream run are
-//    invoked under the session's shared lock and must not call back
-//    into the session (InvalidateCache excepted); replayed (cached)
-//    streams hold no lock and may re-enter freely.
+//    the referenced data.
 //
 // Moving an AuditSession while any concurrent call runs is undefined
 // behavior (moves are for construction-time plumbing only).
@@ -89,7 +85,6 @@
 #include "common/thread_pool.h"
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 #include "detect/suggest.h"
 #include "detect/verify.h"
 #include "mitigate/rerank.h"
@@ -237,15 +232,6 @@ class AuditSession {
   /// queries coalesce onto one run (see the file comment).
   Result<api::AuditResponse> Detect(const api::AuditRequest& request);
 
-  /// Streaming detection: per-k violation sets are delivered through
-  /// `sink` the moment they are finalized. Cached results are replayed
-  /// with the same call sequence (no session lock held — the sink may
-  /// re-enter the session); live runs are teed into the cache while
-  /// streaming under the shared state lock (with caching disabled
-  /// nothing is materialized — the pure streaming path). Live streams
-  /// do not coalesce: concurrent identical streams each run.
-  Status DetectStream(const api::AuditRequest& request, ResultSink& sink);
-
   /// Runs several requests against the one prepared input. Requests
   /// with identical cache keys are served from the first run — also
   /// with caching disabled, where in-batch deduplication is the only
@@ -304,8 +290,7 @@ class AuditSession {
                               const std::vector<double>& scores,
                               MaintenanceReport* report = nullptr);
 
-  /// Drops every cached detection result. Only takes the cache lock,
-  /// so it is safe to call re-entrantly from a streaming sink.
+  /// Drops every cached detection result. Only takes the cache lock.
   void InvalidateCache();
 
   /// A shared (reader) lock on the session state. While held, the
@@ -400,7 +385,8 @@ class AuditSession {
       const std::shared_ptr<InFlight>& flight);
 
   /// Inserts a result under `key`, evicting FIFO beyond capacity. The
-  /// caller holds Sync::cache.
+  /// caller holds Sync::cache and is the key's in-flight owner, so the
+  /// key is not cached yet (a cached key never starts a run).
   void CacheInsertLocked(std::string key,
                          std::shared_ptr<const DetectionResult> result);
 

@@ -140,43 +140,15 @@ Result<Pattern> PatternField(const JsonValue& group,
     return Status::InvalidArgument(
         "'group' must be an object of attribute labels");
   }
-  Pattern pattern = Pattern::Empty(space.num_attributes());
+  std::vector<std::pair<std::string, std::string>> labels;
   for (const auto& [name, label] : group.object_members()) {
     if (!label.is_string()) {
       return Status::InvalidArgument("group value for '" + name +
                                      "' must be a string label");
     }
-    bool found = false;
-    for (size_t a = 0; a < space.num_attributes() && !found; ++a) {
-      if (space.name(a) != name) continue;
-      // Re-assignment would silently audit whichever label landed
-      // last. The parser already rejects duplicate keys on the wire;
-      // this guards any other path that builds the group object.
-      if (pattern.value(a) != Pattern::kUnspecified) {
-        return Status::InvalidArgument("attribute '" + name +
-                                       "' assigned twice in 'group'");
-      }
-      for (int16_t v = 0; v < space.domain_size(a); ++v) {
-        if (space.label(a, v) == label.string_value()) {
-          pattern = pattern.With(a, v);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::NotFound("value '" + label.string_value() +
-                                "' not in the domain of '" + name + "'");
-      }
-    }
-    if (!found) {
-      return Status::NotFound("attribute '" + name +
-                              "' not in the pattern space");
-    }
+    labels.emplace_back(name, label.string_value());
   }
-  if (pattern.IsEmpty()) {
-    return Status::InvalidArgument("group assigns no attributes");
-  }
-  return pattern;
+  return PatternFromLabels(labels, space);
 }
 
 /// Serializes a session's storage state — shared by op=snapshot_info,
@@ -446,28 +418,15 @@ Result<std::string> JsonlService::HandleRerank(const Target& target,
   }
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditResponse detected,
                             target.session->Detect(query));
-  // Detected groups become representation floors, mirroring
-  // fairtopk_audit --rerank: the global staircase directly, the
-  // proportional band as a constant floor at k_max.
+  // Detected groups become representation floors, as in
+  // fairtopk_audit --rerank.
   std::vector<RepresentationConstraint> constraints;
   {
     // Pin the index for the proportional floor's group counts; the
     // lock is dropped before Repair (which takes it internally).
     auto read_guard = target.session->ReadLock();
-    const size_t num_rows = target.session->input().num_rows();
-    for (const Pattern& p : detected.result->AllDistinct()) {
-      if (const auto* global = std::get_if<GlobalBoundSpec>(&query.bounds)) {
-        constraints.push_back({p, global->lower});
-      } else {
-        const auto& prop = std::get<PropBoundSpec>(query.bounds);
-        const double floor_at_kmax = prop.LowerAt(
-            static_cast<int>(
-                target.session->input().index().PatternCount(p)),
-            query.config.k_max, num_rows);
-        constraints.push_back(
-            {p, StepFunction::Constant(std::ceil(floor_at_kmax))});
-      }
-    }
+    constraints = api::RepairConstraints(*detected.result, query.bounds,
+                                         target.session->input());
   }
   FAIRTOPK_ASSIGN_OR_RETURN(RepairOutcome repair,
                             target.session->Repair(constraints, query.config));

@@ -445,87 +445,6 @@ TEST(AuditSessionTest, SuggestVerifyRepairForward) {
   EXPECT_TRUE(repair->feasible);
 }
 
-/// Collects a streamed detection for comparison with the materialized
-/// path.
-class CollectingSink : public ResultSink {
- public:
-  Status OnResult(int k, std::vector<Pattern> patterns) override {
-    ks.push_back(k);
-    batches.push_back(std::move(patterns));
-    return Status::OK();
-  }
-  void OnStats(const DetectionStats&) override { ++stats_calls; }
-
-  std::vector<int> ks;
-  std::vector<std::vector<Pattern>> batches;
-  int stats_calls = 0;
-};
-
-TEST(AuditSessionTest, DetectStreamMatchesMaterializedDetect) {
-  AuditSession session = MakeSession(80, 15);
-  api::AuditRequest query = PropQuery(5, 30, 6);
-  CollectingSink streamed;
-  ASSERT_TRUE(session.DetectStream(query, streamed).ok());
-  EXPECT_EQ(streamed.stats_calls, 1);
-  ASSERT_EQ(streamed.ks.size(), 26u);
-  EXPECT_EQ(streamed.ks.front(), 5);
-  EXPECT_EQ(streamed.ks.back(), 30);
-  // The streaming run populated the cache; Detect serves from it.
-  auto materialized = session.Detect(query);
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_TRUE(materialized->cached);
-  for (size_t i = 0; i < streamed.ks.size(); ++i) {
-    EXPECT_EQ(streamed.batches[i],
-              materialized->result->AtK(streamed.ks[i]));
-  }
-  // A second stream replays the cached result with the same sequence.
-  CollectingSink replayed;
-  ASSERT_TRUE(session.DetectStream(query, replayed).ok());
-  EXPECT_EQ(replayed.ks, streamed.ks);
-  EXPECT_EQ(replayed.batches, streamed.batches);
-  EXPECT_EQ(session.service_stats().cache_hits, 2u);
-}
-
-/// Re-enters the session mid-replay: invalidating the cache destroys
-/// the map's reference to the result being streamed, so the replay
-/// must hold its own (caught under ASan if it does not).
-class InvalidatingSink : public ResultSink {
- public:
-  explicit InvalidatingSink(AuditSession* session) : session_(session) {}
-  Status OnResult(int k, std::vector<Pattern> patterns) override {
-    session_->InvalidateCache();
-    last_k_ = k;
-    total_ += patterns.size();
-    return Status::OK();
-  }
-  int last_k() const { return last_k_; }
-
- private:
-  AuditSession* session_;
-  int last_k_ = 0;
-  size_t total_ = 0;
-};
-
-TEST(AuditSessionTest, CachedReplaySurvivesReentrantInvalidation) {
-  AuditSession session = MakeSession(80, 19);
-  api::AuditRequest query = PropQuery(5, 30, 6);
-  ASSERT_TRUE(session.Detect(query).ok());  // populate the cache
-  InvalidatingSink sink(&session);
-  ASSERT_TRUE(session.DetectStream(query, sink).ok());
-  EXPECT_EQ(sink.last_k(), 30);  // the full replay ran
-  EXPECT_EQ(session.cache_size(), 0u);
-}
-
-TEST(AuditSessionTest, DetectStreamWithoutCacheMaterializesNothing) {
-  SessionOptions options;
-  options.cache_capacity = 0;
-  AuditSession session = MakeSession(80, 15, options);
-  CollectingSink streamed;
-  ASSERT_TRUE(session.DetectStream(PropQuery(5, 30, 6), streamed).ok());
-  EXPECT_EQ(streamed.ks.size(), 26u);
-  EXPECT_EQ(session.cache_size(), 0u);
-}
-
 TEST(AuditSessionTest, DetectManyDedupesIdenticalCacheKeys) {
   SessionOptions options;
   options.cache_capacity = 0;  // in-batch dedup is the only sharing

@@ -216,6 +216,25 @@ TEST(CliTest, VerifyModeUsesExitCodeThree) {
                        "--kmax 10",
                    out),
             1);
+  // A repeated attribute -> error naming it (once this audited only
+  // the last label, {gender=M}, and exited 0 as FAIR).
+  const std::string err = TempPath("cli_verify.err");
+  EXPECT_EQ(RunCli("--csv " + Quote(csv) +
+                       " --rank-by score --measure global --lower 0.3 "
+                       "--kmin 10 --kmax 30 --verify " +
+                       Quote("gender=F;gender=M"),
+                   out, err),
+            1);
+  EXPECT_NE(ReadAll(err).find("attribute 'gender' assigned twice"),
+            std::string::npos)
+      << ReadAll(err);
+}
+
+/// The unsigned integer after `key` in `text` (-1 when absent).
+long long NumberAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(text.c_str() + at + key.size());
 }
 
 TEST(CliTest, RerankRepairsAndRoundTrips) {
@@ -240,6 +259,38 @@ TEST(CliTest, RerankRepairsAndRoundTrips) {
                        "--verify gender=F",
                    out),
             0);
+  // The CLI and the wire `rerank` op build the same floors from the
+  // same detection, so they move the same tuples.
+  SessionCatalog catalog;
+  JsonlService service(&catalog, "rr");
+  const std::string opened = service.HandleLine(
+      R"({"op":"open","name":"rr","csv":")" + csv +
+      R"(","rank_by":"score","k_min":10,"k_max":30,"tau":20,"lower":0.25,)"
+      R"("alpha":0.9})");
+  ASSERT_NE(opened.find("\"ok\":true"), std::string::npos) << opened;
+  const std::string err = TempPath("cli_rerank.err");
+  for (const std::string detector : {"GlobalBounds", "PropBounds"}) {
+    const std::string measure = detector == "GlobalBounds" ? "global" : "prop";
+    ASSERT_EQ(RunCli("--csv " + Quote(csv) + " --rank-by score --measure " +
+                         measure +
+                         " --kmin 10 --kmax 30 --tau 20 --lower 0.25 "
+                         "--alpha 0.9 --rerank " +
+                         Quote(repaired),
+                     out, err),
+              0)
+        << detector;
+    const std::string cli = ReadAll(err);
+    const std::string response = service.HandleLine(
+        R"({"op":"rerank","detector":")" + detector + R"("})");
+    ASSERT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    const long long moved = NumberAfter(cli, "moved=");
+    EXPECT_GT(moved, 0) << detector << ": " << cli;
+    EXPECT_EQ(moved, NumberAfter(response, "\"tuples_moved\":"))
+        << detector << ": " << cli << " vs " << response;
+    EXPECT_EQ(NumberAfter(cli, "kendall_tau="),
+              NumberAfter(response, "\"kendall_tau_distance\":"))
+        << detector << ": " << cli << " vs " << response;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "api/audit.h"
 #include "api/canonical.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace fairtopk {
 namespace {
@@ -87,7 +88,9 @@ TEST(DetectorRegistryTest, RegisterRejectsDuplicatesAndIncompleteEntries) {
   d.algo = "custom";
   d.bounds_kind = BoundsKind::kGlobal;
   d.run = [](const DetectionInput&, const api::BoundsSpec&,
-             const DetectionConfig&, ResultSink&) { return Status::OK(); };
+             const DetectionConfig& config) -> Result<DetectionResult> {
+    return DetectionResult(config.k_min, config.k_max);
+  };
   ASSERT_TRUE(registry.Register(d).ok());
   // Same name again.
   EXPECT_FALSE(registry.Register(d).ok());
@@ -120,16 +123,52 @@ TEST(DetectorRegistryTest, AddingADetectorIsOneRegistration) {
   d.bounds_kind = BoundsKind::kGlobal;
   d.summary = "reports no groups, streams empty sets per k";
   d.run = [](const DetectionInput&, const api::BoundsSpec&,
-             const DetectionConfig& config, ResultSink& sink) {
-    for (int k = config.k_min; k <= config.k_max; ++k) {
-      FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-    }
-    sink.OnStats(DetectionStats{});
-    return Status::OK();
+             const DetectionConfig& config) -> Result<DetectionResult> {
+    return DetectionResult(config.k_min, config.k_max);
   };
   ASSERT_TRUE(registry.Register(std::move(d)).ok());
   const std::string capabilities = api::CapabilitiesJson(registry);
   EXPECT_NE(capabilities.find("\"AlwaysEmpty\""), std::string::npos);
+}
+
+TEST(DetectorRegistryTest, RunAuditRejectsInvalidConfigsOnEveryDetector) {
+  // engine::DetectPerK validates the config before it allocates the
+  // [k_min, k_max] result; every registered detector runs through it.
+  Table table = testing::RandomTable(40, 3, {2, 3}, 5);
+  auto input = DetectionInput::PrepareWithRanking(
+      table, testing::RandomRanking(40, 5));
+  ASSERT_TRUE(input.ok());
+  const std::vector<std::pair<std::string, DetectionConfig>> invalid = {
+      {"k_min = 0", {0, 20, 4}},
+      {"k_max < k_min", {10, 9, 4}},
+      {"k_max > |D|", {5, 41, 4}},
+      {"tau = 0", {5, 20, 0}},
+  };
+  for (const DetectorDescriptor& d : DetectorRegistry::Global().detectors()) {
+    AuditRequest request;
+    request.detector = d.name;
+    if (d.bounds_kind == BoundsKind::kGlobal) {
+      GlobalBoundSpec bounds;
+      bounds.lower = StepFunction::Constant(2.0);
+      bounds.upper = StepFunction::Constant(5.0);
+      request.bounds = bounds;
+    } else {
+      PropBoundSpec bounds;
+      bounds.alpha = 0.8;
+      bounds.beta = 1.2;
+      request.bounds = bounds;
+    }
+    // The bounds are valid: a valid config runs.
+    request.config = DetectionConfig{5, 20, 4};
+    ASSERT_TRUE(api::RunAudit(*input, request).ok()) << d.name;
+    for (const auto& [what, config] : invalid) {
+      request.config = config;
+      Result<DetectionResult> run = api::RunAudit(*input, request);
+      ASSERT_FALSE(run.ok()) << d.name << ": " << what;
+      EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+          << d.name << ": " << what << ": " << run.status().ToString();
+    }
+  }
 }
 
 /// Structural equality of the cache-key-relevant request fields

@@ -867,8 +867,9 @@ TEST_F(CatalogJsonlServiceTest, OpenRejectsMistypedAndOutOfRangeFields) {
 
 std::atomic<bool> g_slow_release{false};
 
-Status SlowDetectorRun(const DetectionInput&, const api::BoundsSpec&,
-                       const DetectionConfig& config, ResultSink& sink) {
+Result<DetectionResult> SlowDetectorRun(const DetectionInput&,
+                                        const api::BoundsSpec&,
+                                        const DetectionConfig& config) {
   // Deadline-guarded: a backpressure regression fails the admission
   // assertions instead of hanging the suite.
   const auto deadline =
@@ -877,11 +878,7 @@ Status SlowDetectorRun(const DetectionInput&, const api::BoundsSpec&,
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-  }
-  sink.OnStats(DetectionStats{});
-  return Status::OK();
+  return DetectionResult(config.k_min, config.k_max);
 }
 
 void RegisterSlowDetector() {

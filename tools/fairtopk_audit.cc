@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -133,38 +134,15 @@ Status ValidateArgs(const Args& args,
 /// Parses "Attr=value;Attr2=value2" into a pattern over `space`.
 Result<Pattern> ParseGroupSpec(const std::string& spec,
                                const PatternSpace& space) {
-  Pattern pattern = Pattern::Empty(space.num_attributes());
+  std::vector<std::pair<std::string, std::string>> labels;
   for (const std::string& term : Split(spec, ';')) {
     auto parts = Split(term, '=');
     if (parts.size() != 2) {
       return Status::InvalidArgument("bad group term: " + term);
     }
-    const std::string name(Trim(parts[0]));
-    const std::string value(Trim(parts[1]));
-    bool found = false;
-    for (size_t a = 0; a < space.num_attributes() && !found; ++a) {
-      if (space.name(a) != name) continue;
-      for (int16_t v = 0; v < space.domain_size(a); ++v) {
-        if (space.label(a, v) == value) {
-          pattern = pattern.With(a, v);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::NotFound("value '" + value +
-                                "' not in the domain of '" + name + "'");
-      }
-    }
-    if (!found) {
-      return Status::NotFound("attribute '" + name +
-                              "' not in the pattern space");
-    }
+    labels.emplace_back(Trim(parts[0]), Trim(parts[1]));
   }
-  if (pattern.IsEmpty()) {
-    return Status::InvalidArgument("group spec assigns no attributes");
-  }
-  return pattern;
+  return PatternFromLabels(labels, space);
 }
 
 int Fail(const Status& status) {
@@ -282,24 +260,10 @@ int RunAudit(const Args& args, const api::DetectorDescriptor& detector) {
   }
 
   if (!args.rerank_path.empty()) {
-    // Repair mode: detected groups become representation floors. The
-    // proportional measure is translated into per-group constant
-    // floors at k_max (a conservative approximation of the band).
-    std::vector<RepresentationConstraint> constraints;
-    for (const Pattern& p : detected.AllDistinct()) {
-      if (const auto* global =
-              std::get_if<GlobalBoundSpec>(&request.bounds)) {
-        constraints.push_back({p, global->lower});
-      } else {
-        const auto& prop = std::get<PropBoundSpec>(request.bounds);
-        const double floor_at_kmax = prop.LowerAt(
-            static_cast<int>(input.index().PatternCount(p)),
-            request.config.k_max, table.num_rows());
-        constraints.push_back(
-            {p, StepFunction::Constant(std::ceil(floor_at_kmax))});
-      }
-    }
-    Result<RepairOutcome> repair = session.Repair(constraints, request.config);
+    // Repair mode: detected groups become representation floors.
+    Result<RepairOutcome> repair = session.Repair(
+        api::RepairConstraints(detected, request.bounds, input),
+        request.config);
     if (!repair.ok()) return Fail(repair.status());
     std::fprintf(stderr,
                  "repair: moved=%zu kendall_tau=%llu feasible=%s\n",
