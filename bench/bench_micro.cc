@@ -22,6 +22,7 @@
 #include "pattern/result_set.h"
 #include "pattern/search_tree.h"
 #include "ranking/score_ranker.h"
+#include "report/json_report.h"
 #include "service/audit_session.h"
 
 namespace fairtopk {
@@ -451,6 +452,46 @@ void BM_ConcurrentDetectThroughput(benchmark::State& state) {
                           static_cast<int64_t>(requests.size()));
 }
 BENCHMARK(BM_ConcurrentDetectThroughput)->Arg(1)->Arg(4)->UseRealTime();
+
+// Report serialization at served size: DetectionResultToJson over a
+// GlobalBounds answer on 100k rows x 4 attributes (5 values, score
+// tied to a0 and a1), k = 10..49 — the `serialize` span of a served
+// detect. Counters: `groups` = (k, group) entries per report,
+// `distinct` = distinct groups among them (one full-width count each).
+void BM_ReportSerialize(benchmark::State& state) {
+  static AuditSession* session = [] {
+    std::vector<SyntheticAttribute> attrs = UniformAttributes("a", 4, 5);
+    SyntheticScore score;
+    score.noise_stddev = 1.0;
+    score.effects.push_back({"a0", {0.0, 0.4, 0.8, 1.2, 1.6}});
+    score.effects.push_back({"a1", {0.0, 0.4, 0.8, 1.2, 1.6}});
+    auto table = GenerateSynthetic(attrs, {score}, 100000, 2024);
+    if (!table.ok()) std::abort();
+    auto s = AuditSession::Create(*table, "score");
+    if (!s.ok()) std::abort();
+    return new AuditSession(std::move(s).value());
+  }();
+  api::AuditRequest query;
+  query.detector = "GlobalBounds";
+  query.config = DetectionConfig{10, 49, 500};
+  query.bounds = GlobalBoundSpec::PaperDefault(49);
+  auto response = session->Detect(query);
+  if (!response.ok()) std::abort();
+  const DetectionResult& result = *response->result;
+  const ReportContext context{"synthetic-100k", "global", "GlobalBounds"};
+  for (auto _ : state) {
+    std::string json =
+        DetectionResultToJson(result, session->input(), context);
+    benchmark::DoNotOptimize(json);
+  }
+  size_t groups = 0;
+  for (int k = result.k_min(); k <= result.k_max(); ++k) {
+    groups += result.AtK(k).size();
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["distinct"] = static_cast<double>(result.AllDistinct().size());
+}
+BENCHMARK(BM_ReportSerialize);
 
 // Thread-scaling of the sharded search (arg = num_threads). On the full
 // COMPAS pattern space the per-k searches are wide enough to shard.

@@ -37,7 +37,7 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 PERF_BASELINE="${PERF_BASELINE:-BENCH_pr7.json}"
-PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_AssignAndCount/1024,BM_MetricsOverhead/0,BM_MetricsOverhead/1"
+PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_AssignAndCount/1024,BM_MetricsOverhead/0,BM_MetricsOverhead/1,BM_TopKCount/50,BM_PatternCount/4,BM_ReportSerialize"
 
 # Bitset kernel variants the differential test is forced through (an
 # unavailable variant falls back to the automatic choice with a stderr
@@ -137,7 +137,7 @@ stage_perf() {
   fi
   cmake --build build-ci -j "${JOBS}" --target bench_micro
   ./build-ci/bench/bench_micro \
-    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_AssignAndCount|BM_MetricsOverhead' \
+    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_AssignAndCount|BM_MetricsOverhead|BM_TopKCount/50$|BM_PatternCount/4$|BM_ReportSerialize' \
     --benchmark_out=build-ci/bench_current.json \
     --benchmark_out_format=json
   # The SIMD-vs-scalar gate only binds when the run actually dispatched

@@ -1,16 +1,24 @@
 #include "common/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace fairtopk {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+namespace {
+
+// Appends `s` to `out` escaped for a JSON string literal. Runs of bytes
+// that need no escape are appended whole.
+void AppendEscaped(std::string& out, std::string_view s) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -27,17 +35,31 @@ std::string JsonEscape(const std::string& s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out.append(escaped, sizeof(escaped));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+// Appends the decimal form of an integer.
+template <typename Integer>
+void AppendInt(std::string& out, Integer value) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, static_cast<size_t>(end - buf));
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscaped(out, s);
   return out;
 }
 
@@ -84,35 +106,35 @@ JsonWriter& JsonWriter::EndArray() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Key(const std::string& key) {
+JsonWriter& JsonWriter::Key(std::string_view key) {
   assert(!scopes_.empty() && scopes_.back() == Scope::kObject);
   assert(!pending_key_ && "two consecutive keys");
   if (has_items_.back()) out_.push_back(',');
   has_items_.back() = true;
   out_.push_back('"');
-  out_ += JsonEscape(key);
+  AppendEscaped(out_, key);
   out_ += "\":";
   pending_key_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::String(const std::string& value) {
+JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
   out_.push_back('"');
-  out_ += JsonEscape(value);
+  AppendEscaped(out_, value);
   out_.push_back('"');
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(long long value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInt(out_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Uint(unsigned long long value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendInt(out_, value);
   return *this;
 }
 

@@ -18,8 +18,9 @@
 namespace fairtopk {
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
-/// surrounding quotes).
-std::string JsonEscape(const std::string& s);
+/// surrounding quotes). JsonWriter's Key and String escape the same
+/// way, straight into their output.
+std::string JsonEscape(std::string_view s);
 
 /// Streaming JSON writer with automatic comma placement. Usage:
 ///   JsonWriter w;
@@ -41,9 +42,9 @@ class JsonWriter {
   JsonWriter& EndArray();
 
   /// Emits an object key; must be followed by exactly one value.
-  JsonWriter& Key(const std::string& key);
+  JsonWriter& Key(std::string_view key);
 
-  JsonWriter& String(const std::string& value);
+  JsonWriter& String(std::string_view value);
   JsonWriter& Int(long long value);
   JsonWriter& Uint(unsigned long long value);
   JsonWriter& Double(double value);

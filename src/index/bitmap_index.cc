@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "index/kernels/kernels.h"
+
 namespace fairtopk {
 
 Result<BitmapIndex> BitmapIndex::Build(const Table& table,
@@ -229,66 +231,82 @@ Status BitmapIndex::ApplyRanking(const Table& table,
   return Status::OK();
 }
 
-bool BitmapIndex::IntersectInto(const Pattern& p, Bitset& scratch) const {
-  bool initialized = false;
+bool BitmapIndex::AndCounts(const Pattern& p, size_t n_words, size_t k_full,
+                            uint64_t k_mask, size_t* total,
+                            size_t* prefix) const {
+  size_t num = 0;
+  size_t first = 0;
+  size_t second = 0;
+  size_t last = 0;
   for (size_t a = 0; a < p.num_attributes(); ++a) {
     if (!p.IsSpecified(a)) continue;
-    const Bitset& bits = value_bits_[a][static_cast<size_t>(p.value(a))];
-    if (!initialized) {
-      scratch.CopyFrom(bits);
-      initialized = true;
-    } else {
-      scratch.AndWith(bits);
-    }
+    if (num == 0) first = a;
+    if (num == 1) second = a;
+    last = a;
+    ++num;
   }
-  return initialized;
+  if (num == 0) return false;
+  const auto words = [&](size_t a) {
+    return value_bits_[a][static_cast<size_t>(p.value(a))].words().data();
+  };
+  const kernels::KernelOps& ops = kernels::Active();
+  if (num == 1) {
+    ops.counts(words(first), n_words, k_full, k_mask, total, prefix);
+    return true;
+  }
+  if (num == 2) {
+    ops.and_counts(words(first), words(second), n_words, k_full, k_mask,
+                   total, prefix);
+    return true;
+  }
+  // Three or more predicates: intersect one chunk at a time in a stack
+  // buffer, fusing the last predicate's AND with the popcount.
+  uint64_t chunk[kChunkWords];
+  *total = 0;
+  *prefix = 0;
+  for (size_t lo = 0; lo < n_words; lo += kChunkWords) {
+    const size_t len = std::min(kChunkWords, n_words - lo);
+    ops.assign_and(chunk, words(first) + lo, words(second) + lo, len);
+    for (size_t a = second + 1; a < last; ++a) {
+      if (p.IsSpecified(a)) ops.and_with(chunk, words(a) + lo, len);
+    }
+    // The k-bit prefix, re-based onto this chunk's words.
+    size_t chunk_full = 0;
+    uint64_t chunk_mask = 0;
+    if (k_full >= lo + len) {
+      chunk_full = len;
+    } else if (k_full >= lo) {
+      chunk_full = k_full - lo;
+      chunk_mask = k_mask;
+    }
+    size_t chunk_total = 0;
+    size_t chunk_prefix = 0;
+    ops.and_counts(chunk, words(last) + lo, len, chunk_full, chunk_mask,
+                   &chunk_total, &chunk_prefix);
+    *total += chunk_total;
+    *prefix += chunk_prefix;
+  }
+  return true;
 }
 
 size_t BitmapIndex::PatternCount(const Pattern& p) const {
-  // Fast paths for 0- and 1-predicate patterns avoid the scratch copy.
-  int first = -1;
-  int second = -1;
-  for (size_t a = 0; a < p.num_attributes(); ++a) {
-    if (!p.IsSpecified(a)) continue;
-    if (first < 0) {
-      first = static_cast<int>(a);
-    } else {
-      second = static_cast<int>(a);
-      break;
-    }
-  }
-  if (first < 0) return num_rows_;
-  const Bitset& first_bits =
-      value_bits_[static_cast<size_t>(first)]
-                 [static_cast<size_t>(p.value(static_cast<size_t>(first)))];
-  if (second < 0) return first_bits.Count();
-
-  Bitset scratch;
-  IntersectInto(p, scratch);
-  return scratch.Count();
+  size_t total = 0;
+  size_t prefix = 0;
+  const size_t n_words = (num_rows_ + 63) / 64;
+  return AndCounts(p, n_words, 0, 0, &total, &prefix) ? total : num_rows_;
 }
 
 size_t BitmapIndex::TopKCount(const Pattern& p, size_t k) const {
-  int first = -1;
-  int second = -1;
-  for (size_t a = 0; a < p.num_attributes(); ++a) {
-    if (!p.IsSpecified(a)) continue;
-    if (first < 0) {
-      first = static_cast<int>(a);
-    } else {
-      second = static_cast<int>(a);
-      break;
-    }
-  }
-  if (first < 0) return std::min(k, num_rows_);
-  const Bitset& first_bits =
-      value_bits_[static_cast<size_t>(first)]
-                 [static_cast<size_t>(p.value(static_cast<size_t>(first)))];
-  if (second < 0) return first_bits.CountPrefix(k);
-
-  Bitset scratch;
-  IntersectInto(p, scratch);
-  return scratch.CountPrefix(k);
+  size_t k_full = 0;
+  uint64_t k_mask = 0;
+  kernels::SplitPrefix(k, &k_full, &k_mask);
+  size_t total = 0;
+  size_t prefix = 0;
+  // Only the words the prefix touches are read.
+  const size_t n_words = k_full + (k_mask != 0 ? 1 : 0);
+  return AndCounts(p, n_words, k_full, k_mask, &total, &prefix)
+             ? prefix
+             : std::min(k, num_rows_);
 }
 
 bool BitmapIndex::RankedRowSatisfies(const Pattern& p, size_t pos) const {

@@ -76,11 +76,13 @@ class BitmapIndex {
   /// The pattern space this index serves.
   const PatternSpace& space() const { return space_; }
 
-  /// s_D(p): number of tuples satisfying `p`.
+  /// s_D(p): number of tuples satisfying `p`. Reads |p|·⌈|D|/64⌉
+  /// words (|p| = number of predicates) and allocates nothing.
   size_t PatternCount(const Pattern& p) const;
 
   /// s_Rk(D)(p): number of tuples among the top-k satisfying `p`.
-  /// Requires k <= num_rows().
+  /// Requires k <= num_rows(). Reads only the k-bit prefix of p's
+  /// predicate bitsets, |p|·⌈k/64⌉ words, and allocates nothing.
   size_t TopKCount(const Pattern& p, size_t k) const;
 
   /// True iff the tuple at rank position `pos` (0-based: pos 0 is rank
@@ -104,9 +106,18 @@ class BitmapIndex {
  private:
   BitmapIndex() = default;
 
-  /// Intersects the predicate bitsets of `p` into `scratch`; returns
-  /// false when p is the empty pattern (no predicates).
-  bool IntersectInto(const Pattern& p, Bitset& scratch) const;
+  /// Words a >= 3-predicate intersection ANDs per step, through a
+  /// stack buffer (2 KiB, so it stays in L1 across the predicates).
+  static constexpr size_t kChunkWords = 256;
+
+  /// Popcounts of the AND of p's predicate bitsets over words
+  /// [0, n_words): `total` over all of them, `prefix` over the prefix
+  /// (k_full, k_mask) as split by kernels::SplitPrefix, which must lie
+  /// within those words. One predicate is one `counts` pass, two one
+  /// `and_counts` pass; more run chunk by chunk. Returns false, and
+  /// counts nothing, when p is the empty pattern.
+  bool AndCounts(const Pattern& p, size_t n_words, size_t k_full,
+                 uint64_t k_mask, size_t* total, size_t* prefix) const;
 
   PatternSpace space_;
   size_t num_rows_ = 0;

@@ -4,8 +4,9 @@
 // parent's materialized intersection bitset down the stack so each child
 // node costs ONE fused AND+popcount pass against a single (attribute,
 // value) bitset, instead of re-intersecting all |p| predicate bitsets
-// from scratch (as BitmapIndex::PatternCount/TopKCount must for an
-// arbitrary pattern).
+// from scratch, as BitmapIndex::PatternCount does for an arbitrary
+// pattern: |p|·⌈|D|/64⌉ words (TopKCount reads only |p|·⌈k/64⌉, the
+// k-bit prefix of each bitset).
 //
 // Stack invariant: after Push(a1,v1)..Push(ad,vd), frame i-1 holds the
 // materialized intersection of the first i pushed predicate bitsets, so

@@ -1,5 +1,8 @@
 #include "report/json_report.h"
 
+#include <functional>
+#include <unordered_map>
+
 #include "common/json.h"
 
 namespace fairtopk {
@@ -28,6 +31,11 @@ std::string PatternToJson(const Pattern& pattern,
 std::string DetectionResultToJson(const DetectionResult& result,
                                   const DetectionInput& input,
                                   const ReportContext& context) {
+  // s_D(p) does not depend on k: count each distinct group once. Keys
+  // refer to the result's own patterns, which outlive the map.
+  std::unordered_map<std::reference_wrapper<const Pattern>, size_t,
+                     PatternHash, std::equal_to<Pattern>>
+      sizes;
   JsonWriter w;
   w.BeginObject();
   w.Key("dataset").String(context.dataset);
@@ -50,7 +58,9 @@ std::string DetectionResultToJson(const DetectionResult& result,
       w.BeginObject();
       w.Key("pattern");
       WritePattern(w, p, input.space());
-      w.Key("size").Uint(input.index().PatternCount(p));
+      auto [it, inserted] = sizes.try_emplace(p, 0);
+      if (inserted) it->second = input.index().PatternCount(p);
+      w.Key("size").Uint(it->second);
       w.Key("top_k_count")
           .Uint(input.index().TopKCount(p, static_cast<size_t>(k)));
       w.EndObject();

@@ -413,14 +413,10 @@ Result<api::AuditResponse> AuditSession::Detect(
                "session_acquire");
   FAIRTOPK_RETURN_IF_ERROR(input_.ValidateConfig(request.config));
   Bump(&SessionServiceStats::detect_queries);
-  // Reports the served result's engine work counters into the request
-  // trace — also on cache/coalesced paths, where they describe the run
-  // that produced the shared result.
-  const auto trace_work = [&request](const DetectionResult& result) {
-    if (request.trace == nullptr) return;
-    request.trace->OnCounter("nodes_visited", result.stats().nodes_visited);
-    request.trace->OnCounter("cursor_reuse_hits",
-                             result.stats().cursor_reuse_hits);
+  // A cache hit or coalesced wait did no search work: its trace says
+  // `cached` rather than repeating the producing run's work counters.
+  const auto trace_cached = [&request] {
+    if (request.trace != nullptr) request.trace->OnCounter("cached", 1);
   };
   const bool caching = options_.cache_capacity > 0;
   std::string key = request.CacheKey();
@@ -433,7 +429,7 @@ Result<api::AuditResponse> AuditSession::Detect(
       if (it != cache_.end()) {
         Bump(&SessionServiceStats::cache_hits);
         if (metrics::Enabled()) SessionMetrics::Get().cache_hit.Inc();
-        trace_work(*it->second);
+        trace_cached();
         return api::AuditResponse{descriptor, it->second, /*cached=*/true};
       }
     }
@@ -453,7 +449,7 @@ Result<api::AuditResponse> AuditSession::Detect(
     if (metrics::Enabled()) SessionMetrics::Get().cache_coalesced.Inc();
     Result<std::shared_ptr<const DetectionResult>> run = flight->future.get();
     if (!run.ok()) return run.status();
-    trace_work(**run);
+    trace_cached();
     return api::AuditResponse{descriptor, *run, /*cached=*/true,
                               /*coalesced=*/true};
   }
@@ -463,7 +459,11 @@ Result<api::AuditResponse> AuditSession::Detect(
   if (metrics::Enabled()) {
     SessionMetrics::Get().nodes_visited.Inc(shared->stats().nodes_visited);
   }
-  trace_work(*shared);
+  if (request.trace != nullptr) {
+    request.trace->OnCounter("nodes_visited", shared->stats().nodes_visited);
+    request.trace->OnCounter("cursor_reuse_hits",
+                             shared->stats().cursor_reuse_hits);
+  }
   return api::AuditResponse{descriptor, std::move(shared), /*cached=*/false};
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index/kernels/kernels.h"
 #include "test_util.h"
 
 namespace fairtopk {
@@ -14,21 +15,25 @@ using testing::RandomTable;
 
 class BitmapIndexRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// True iff table row `row` satisfies `p`, read from the table itself.
+bool RowMatches(const Table& table, const PatternSpace& space,
+                const Pattern& p, uint32_t row) {
+  for (size_t a = 0; a < space.num_attributes(); ++a) {
+    if (p.IsSpecified(a) &&
+        table.CodeAt(row, space.table_index(a)) != p.value(a)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Naive counting oracle scanning the table directly.
 size_t NaiveCount(const Table& table, const PatternSpace& space,
                   const Pattern& p, const std::vector<uint32_t>& ranking,
                   size_t k_prefix) {
   size_t count = 0;
   for (size_t pos = 0; pos < k_prefix; ++pos) {
-    const uint32_t row = ranking[pos];
-    bool match = true;
-    for (size_t a = 0; a < space.num_attributes() && match; ++a) {
-      if (p.IsSpecified(a) &&
-          table.CodeAt(row, space.table_index(a)) != p.value(a)) {
-        match = false;
-      }
-    }
-    if (match) ++count;
+    if (RowMatches(table, space, p, ranking[pos])) ++count;
   }
   return count;
 }
@@ -57,6 +62,62 @@ TEST_P(BitmapIndexRandomTest, CountsMatchNaiveScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitmapIndexRandomTest,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+// A table wider than the index's 256-word intersection chunk (and not
+// a whole number of words), so multi-predicate counts cross chunk
+// boundaries and the k-prefix lands in, at, and past them. Checked
+// under every kernel the machine can run.
+TEST(BitmapIndexTest, CountsMatchNaiveScanAcrossChunksPrefixesAndKernels) {
+  constexpr size_t kRows = 2 * 256 * 64 + 7717;
+  constexpr size_t kAttrs = 6;
+  Table table = RandomTable(kRows, kAttrs, {2, 3}, 41);
+  std::vector<uint32_t> ranking = RandomRanking(kRows, 41);
+  auto space = PatternSpace::CreateAllCategorical(table.schema());
+  ASSERT_TRUE(space.ok());
+  auto index = BitmapIndex::Build(table, *space, ranking);
+  ASSERT_TRUE(index.ok());
+
+  const std::vector<size_t> ks = {0,     1,     63,    64,   65,
+                                  16383, 16384, 16385, kRows};
+  // 1, 2, 3, 4 and 6 predicates, with and without gaps between them.
+  const std::vector<Pattern> patterns = {
+      PatternOf(kAttrs, {{3, 1}}),
+      PatternOf(kAttrs, {{0, 0}, {5, 2}}),
+      PatternOf(kAttrs, {{1, 2}, {2, 1}}),
+      PatternOf(kAttrs, {{0, 1}, {1, 0}, {2, 0}}),
+      PatternOf(kAttrs, {{0, 0}, {3, 1}, {5, 0}}),
+      PatternOf(kAttrs, {{0, 1}, {1, 1}, {3, 2}, {4, 0}}),
+      PatternOf(kAttrs, {{0, 0}, {1, 2}, {2, 1}, {3, 0}, {4, 1}, {5, 1}}),
+  };
+  // Oracle: one scan per pattern, recording the running count at each k.
+  std::vector<std::vector<size_t>> expected(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    size_t running = 0;
+    size_t next = 0;
+    for (size_t pos = 0; pos <= kRows; ++pos) {
+      while (next < ks.size() && ks[next] == pos) {
+        expected[i].push_back(running);
+        ++next;
+      }
+      if (pos == kRows) break;
+      if (RowMatches(table, *space, patterns[i], ranking[pos])) ++running;
+    }
+  }
+
+  for (const char* kernel : kernels::AvailableKernels()) {
+    kernels::ScopedKernel scoped(kernel);
+    ASSERT_TRUE(scoped.ok()) << kernel;
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const Pattern& p = patterns[i];
+      EXPECT_EQ(index->PatternCount(p), expected[i].back())
+          << kernel << " " << p.ToString(*space);
+      for (size_t j = 0; j < ks.size(); ++j) {
+        EXPECT_EQ(index->TopKCount(p, ks[j]), expected[i][j])
+            << kernel << " " << p.ToString(*space) << " k=" << ks[j];
+      }
+    }
+  }
+}
 
 TEST(BitmapIndexTest, EmptyPatternCountsEverything) {
   Table table = RandomTable(50, 3, {2}, 5);

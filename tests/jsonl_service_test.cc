@@ -414,6 +414,38 @@ TEST_F(JsonlServiceTest, SlowQueryLogWritesTraceLines) {
   EXPECT_EQ(log.str(), before);
 }
 
+TEST_F(JsonlServiceTest, SlowQueryLogMarksCacheHitsWithoutSearchWork) {
+  std::ostringstream log;
+  ObservabilityOptions observability;
+  observability.slow_query_log_micros = 1;  // everything is "slow"
+  observability.slow_query_stream = &log;
+  service_->set_observability(observability);
+  ExpectOk(R"({"op":"detect","id":"cold"})");
+  const JsonValue hit = ExpectOk(R"({"op":"detect","id":"hit"})");
+  ASSERT_TRUE(hit.Find("data")->BoolOr("cached", false)) << last_response_;
+
+  std::istringstream lines(log.str());
+  std::string cold_line;
+  std::string hit_line;
+  ASSERT_TRUE(std::getline(lines, cold_line));
+  ASSERT_TRUE(std::getline(lines, hit_line));
+  auto cold = ParseJson(cold_line);
+  auto served = ParseJson(hit_line);
+  ASSERT_TRUE(cold.ok()) << cold_line;
+  ASSERT_TRUE(served.ok()) << hit_line;
+  EXPECT_EQ(served->Find("id")->string_value(), "hit");
+  // The live run reports its search work; the hit reports none of it.
+  const JsonValue* cold_counters = cold->Find("counters");
+  ASSERT_NE(cold_counters, nullptr) << cold_line;
+  EXPECT_NE(cold_counters->Find("nodes_visited"), nullptr) << cold_line;
+  EXPECT_EQ(cold_counters->Find("cached"), nullptr) << cold_line;
+  const JsonValue* hit_counters = served->Find("counters");
+  ASSERT_NE(hit_counters, nullptr) << hit_line;
+  EXPECT_DOUBLE_EQ(hit_counters->NumberOr("cached", 0), 1.0) << hit_line;
+  EXPECT_EQ(hit_counters->Find("nodes_visited"), nullptr) << hit_line;
+  EXPECT_EQ(hit_counters->Find("cursor_reuse_hits"), nullptr) << hit_line;
+}
+
 TEST_F(JsonlServiceTest, ProtocolErrors) {
   ExpectError("not json", "INVALID_ARGUMENT");
   ExpectError("[1,2,3]", "INVALID_ARGUMENT");

@@ -73,6 +73,78 @@ TEST(DetectionResultToJsonTest, GroupCountsMatchResult) {
             f.result.AtK(4).size() + f.result.AtK(5).size());
 }
 
+// Three attributes whose names and labels need escaping, 12 rows in a
+// fixed non-identity ranking, and a hand-built result whose groups
+// repeat across k, span 0-3 predicates, and leave one k empty. The
+// stats are fixed so the whole report is deterministic.
+struct GoldenFixture {
+  DetectionInput input;
+  DetectionResult result;
+};
+
+GoldenFixture MakeGoldenFixture() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddCategorical("q\"uote", {"a\"b", "plain"}).ok());
+  EXPECT_TRUE(schema.AddCategorical("back\\slash", {"c\\d", "x"}).ok());
+  EXPECT_TRUE(
+      schema.AddCategorical(std::string("ctl\x01", 4), {"e\x1f" "f", "t\tz"})
+          .ok());
+  Result<Table> table = Table::Create(std::move(schema));
+  EXPECT_TRUE(table.ok());
+  for (int r = 0; r < 12; ++r) {
+    const std::vector<Cell> row = {Cell::Code(static_cast<int16_t>(r % 2)),
+                                   Cell::Code(static_cast<int16_t>(r % 3 == 0)),
+                                   Cell::Code(static_cast<int16_t>(r / 6))};
+    EXPECT_TRUE(table->AppendRow(row).ok());
+  }
+  std::vector<uint32_t> ranking = {7, 2, 11, 0, 5, 9, 3, 10, 1, 6, 8, 4};
+  auto input = DetectionInput::PrepareWithRanking(*table, std::move(ranking));
+  EXPECT_TRUE(input.ok());
+
+  DetectionResult result(2, 5);
+  const Pattern a0 = PatternOf(3, {{0, 0}});
+  const Pattern a01 = PatternOf(3, {{0, 0}, {1, 0}});
+  const Pattern a12 = PatternOf(3, {{1, 1}, {2, 0}});
+  const Pattern all = PatternOf(3, {{0, 1}, {1, 0}, {2, 1}});
+  result.MutableAtK(2) = {a0, a01};
+  result.MutableAtK(3) = {a0, a12, all};
+  result.MutableAtK(4) = {Pattern::Empty(3), all, a01};
+  result.stats().nodes_visited = 12345;
+  result.stats().cursor_reuse_hits = 67;
+  result.stats().seconds = 0.125;
+  result.stats().cpu_seconds = 3.0e-7;
+  return GoldenFixture{std::move(input).value(), std::move(result)};
+}
+
+// The exact bytes the report serializer produced before the counting
+// and writer fast paths; any change to them is a wire-format change.
+TEST(DetectionResultToJsonTest, MatchesGoldenBytes) {
+  GoldenFixture f = MakeGoldenFixture();
+  ReportContext context{"golden \"set\"\\v1", "global", "IterTD"};
+  const std::string expected =
+      R"golden({"dataset":"golden \"set\"\\v1","measure":"global",)golden"
+      R"golden("algorithm":"IterTD","k_min":2,"k_max":5,)golden"
+      R"golden("stats":{"nodes_visited":12345,"cursor_reuse_hits":67,)golden"
+      R"golden("seconds":0.125,"cpu_seconds":3e-07},)golden"
+      R"golden("results":[{"k":2,"groups":[{"pattern":{"q\"uote":"a\"b"},)golden"
+      R"golden("size":6,"top_k_count":1},)golden"
+      R"golden({"pattern":{"q\"uote":"a\"b","back\\slash":"c\\d"},"size":4,)golden"
+      R"golden("top_k_count":1}]},)golden"
+      R"golden({"k":3,"groups":[{"pattern":{"q\"uote":"a\"b"},"size":6,)golden"
+      R"golden("top_k_count":1},)golden"
+      R"golden({"pattern":{"back\\slash":"x","ctl\u0001":"e\u001ff"},)golden"
+      R"golden("size":2,"top_k_count":0},)golden"
+      R"golden({"pattern":{"q\"uote":"plain","back\\slash":"c\\d",)golden"
+      R"golden("ctl\u0001":"t\tz"},"size":2,"top_k_count":2}]},)golden"
+      R"golden({"k":4,"groups":[{"pattern":{},"size":12,"top_k_count":4},)golden"
+      R"golden({"pattern":{"q\"uote":"plain","back\\slash":"c\\d",)golden"
+      R"golden("ctl\u0001":"t\tz"},"size":2,"top_k_count":2},)golden"
+      R"golden({"pattern":{"q\"uote":"a\"b","back\\slash":"c\\d"},"size":4,)golden"
+      R"golden("top_k_count":1}]},)golden"
+      R"golden({"k":5,"groups":[]}]})golden";
+  EXPECT_EQ(DetectionResultToJson(f.result, f.input, context), expected);
+}
+
 TEST(ExplanationToJsonTest, SerializesEffectsAndDistribution) {
   Fixture f = MakeFixture();
   GroupExplanation explanation;
