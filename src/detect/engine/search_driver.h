@@ -397,7 +397,7 @@ class ExhaustiveVisitor {
 /// violators into a result set with the semantics of `SetT`
 /// (MostGeneralResultSet or MostSpecificResultSet). Violation is not
 /// assumed anti-monotone, so descent never stops early. Used by the
-/// upper-bound detector and the reporting-semantics variants.
+/// upper-bound detectors.
 template <typename SetT, typename ViolatesFn>
 SetT ExhaustiveViolations(const BitmapIndex& index, const SearchParams& params,
                           const ViolatesFn& violates, DetectionStats* stats) {

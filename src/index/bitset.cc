@@ -18,10 +18,6 @@ uint64_t PrefixMask(size_t bits) {
   return bits >= kWordBits ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
 }
 
-// Number of words a kernel must touch to cover a k-bit prefix.
-size_t PrefixSpan(size_t k_full, uint64_t k_mask) {
-  return k_full + (k_mask != 0 ? 1 : 0);
-}
 }  // namespace
 
 Bitset::Bitset(size_t num_bits)
@@ -60,20 +56,6 @@ size_t Bitset::Count() const {
   return total;
 }
 
-size_t Bitset::CountPrefix(size_t k) const {
-  assert(k <= num_bits_);
-  size_t k_full = 0;
-  uint64_t k_mask = 0;
-  kernels::SplitPrefix(k, &k_full, &k_mask);
-  size_t total = 0;
-  size_t prefix = 0;
-  // Only the prefix span is scanned; the kernel's `total` over that
-  // span is discarded.
-  kernels::Active().counts(words_.data(), PrefixSpan(k_full, k_mask), k_full,
-                           k_mask, &total, &prefix);
-  return prefix;
-}
-
 void Bitset::Counts(size_t k, size_t* total, size_t* prefix) const {
   assert(k <= num_bits_);
   size_t k_full = 0;
@@ -81,17 +63,6 @@ void Bitset::Counts(size_t k, size_t* total, size_t* prefix) const {
   kernels::SplitPrefix(k, &k_full, &k_mask);
   kernels::Active().counts(words_.data(), words_.size(), k_full, k_mask,
                            total, prefix);
-}
-
-void Bitset::AndWith(const Bitset& other) {
-  assert(num_bits_ == other.num_bits_);
-  kernels::Active().and_with(words_.data(), other.words_.data(),
-                             words_.size());
-}
-
-void Bitset::CopyFrom(const Bitset& other) {
-  num_bits_ = other.num_bits_;
-  words_ = other.words_;
 }
 
 void Bitset::Resize(size_t num_bits) {
@@ -103,62 +74,6 @@ void Bitset::Resize(size_t num_bits) {
   if (rem != 0 && !words_.empty()) {
     words_.back() &= PrefixMask(rem);
   }
-}
-
-size_t Bitset::AndCount(const Bitset& other) const {
-  assert(num_bits_ == other.num_bits_);
-  size_t total = 0;
-  size_t prefix = 0;
-  kernels::Active().and_counts(words_.data(), other.words_.data(),
-                               words_.size(), 0, 0, &total, &prefix);
-  return total;
-}
-
-size_t Bitset::AndCountPrefix(const Bitset& other, size_t k) const {
-  assert(num_bits_ == other.num_bits_);
-  assert(k <= num_bits_);
-  size_t k_full = 0;
-  uint64_t k_mask = 0;
-  kernels::SplitPrefix(k, &k_full, &k_mask);
-  size_t total = 0;
-  size_t prefix = 0;
-  kernels::Active().and_counts(words_.data(), other.words_.data(),
-                               PrefixSpan(k_full, k_mask), k_full, k_mask,
-                               &total, &prefix);
-  return prefix;
-}
-
-void Bitset::AndCounts(const Bitset& other, size_t k, size_t* total,
-                       size_t* prefix) const {
-  assert(num_bits_ == other.num_bits_);
-  assert(k <= num_bits_);
-  size_t k_full = 0;
-  uint64_t k_mask = 0;
-  kernels::SplitPrefix(k, &k_full, &k_mask);
-  kernels::Active().and_counts(words_.data(), other.words_.data(),
-                               words_.size(), k_full, k_mask, total, prefix);
-}
-
-void Bitset::AssignAnd(const Bitset& a, const Bitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  num_bits_ = a.num_bits_;
-  words_.resize(a.words_.size());
-  kernels::Active().assign_and(words_.data(), a.words_.data(),
-                               b.words_.data(), words_.size());
-}
-
-void Bitset::AssignAndCount(const Bitset& a, const Bitset& b, size_t k,
-                            size_t* total, size_t* prefix) {
-  assert(a.num_bits_ == b.num_bits_);
-  assert(k <= a.num_bits_);
-  num_bits_ = a.num_bits_;
-  words_.resize(a.words_.size());
-  size_t k_full = 0;
-  uint64_t k_mask = 0;
-  kernels::SplitPrefix(k, &k_full, &k_mask);
-  kernels::Active().assign_and_count(words_.data(), a.words_.data(),
-                                     b.words_.data(), words_.size(), k_full,
-                                     k_mask, total, prefix);
 }
 
 }  // namespace fairtopk

@@ -1,8 +1,7 @@
-// Fixed-size dynamic bitset with the popcount primitives the pattern
-// counting engine needs: full-AND cardinality and prefix-AND
-// cardinality (count of set bits among the first k positions). All
-// word-loop work dispatches through the runtime-selected SIMD kernel
-// table (index/kernels/kernels.h).
+// Fixed-size dynamic bitset: the per-predicate row sets of the bitmap
+// index. Counting dispatches through the runtime-selected SIMD kernel
+// table (index/kernels/kernels.h); the AND+popcount passes over several
+// bitsets run on that table directly (BitmapIndex, PatternCursor).
 #ifndef FAIRTOPK_INDEX_BITSET_H_
 #define FAIRTOPK_INDEX_BITSET_H_
 
@@ -34,47 +33,16 @@ class Bitset {
   /// Number of set bits.
   size_t Count() const;
 
-  /// Number of set bits among positions [0, k). Requires k <= num_bits().
-  size_t CountPrefix(size_t k) const;
-
-  /// Count() and CountPrefix(k) in a single pass over the words.
+  /// Number of set bits (`total`) and of set bits among positions
+  /// [0, k) (`prefix`), in a single pass over the words. Requires
+  /// k <= num_bits().
   void Counts(size_t k, size_t* total, size_t* prefix) const;
-
-  /// In-place intersection with `other` (same size required).
-  void AndWith(const Bitset& other);
-
-  /// Copies `other` into this bitset, adopting its size (this bitset
-  /// is always re-sized to match — the sizes need not agree
-  /// beforehand).
-  void CopyFrom(const Bitset& other);
 
   /// Changes the size to `num_bits`, preserving the common prefix.
   /// Grown positions are zero; on shrink, bits beyond the new size are
   /// discarded (counts stay consistent). Used by the session layer when
   /// appended rows extend the rank-ordered index.
   void Resize(size_t num_bits);
-
-  /// Cardinality of (this AND other) without materializing it.
-  size_t AndCount(const Bitset& other) const;
-
-  /// Cardinality of (this AND other) over positions [0, k).
-  size_t AndCountPrefix(const Bitset& other, size_t k) const;
-
-  /// AndCount(other) and AndCountPrefix(other, k) in a single pass —
-  /// the per-node primitive of the search engine's cursor.
-  void AndCounts(const Bitset& other, size_t k, size_t* total,
-                 size_t* prefix) const;
-
-  /// Overwrites this bitset with (a AND b); resizes to match.
-  void AssignAnd(const Bitset& a, const Bitset& b);
-
-  /// AssignAnd(a, b) plus AndCounts(…, k) of the result in ONE pass
-  /// over the words: materializes the intersection and reports its
-  /// total/prefix cardinalities without re-reading it. The fused form
-  /// the cursor uses to make a child frame and its counts cost a
-  /// single sweep.
-  void AssignAndCount(const Bitset& a, const Bitset& b, size_t k,
-                      size_t* total, size_t* prefix);
 
   /// Raw 64-bit words (unused high bits are zero).
   const std::vector<uint64_t>& words() const { return words_; }

@@ -1,11 +1,13 @@
 #include "service/jsonl_service.h"
 
+#include <algorithm>
 #include <cmath>
 #include <condition_variable>
 #include <iostream>
 #include <istream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string_view>
@@ -31,6 +33,8 @@ struct ServiceMetrics {
   metrics::Family<metrics::Counter>& errors;
   metrics::Family<metrics::Histogram>& latency;
   metrics::Family<metrics::Counter>& slow;
+  metrics::Gauge& reorder_depth;
+  metrics::Counter& backpressure_stalls;
 
   static ServiceMetrics& Get() {
     static ServiceMetrics* m = [] {
@@ -49,7 +53,18 @@ struct ServiceMetrics {
           registry.CounterFamily("fairtopk_slow_queries_total",
                                  "Requests that crossed the slow-query-log "
                                  "threshold, by op",
-                                 {"op"})};
+                                 {"op"}),
+          registry
+              .GaugeFamily("fairtopk_reorder_buffer_depth",
+                           "Completed responses held for in-order emission "
+                           "across all serving loops")
+              .With({}),
+          registry
+              .CounterFamily("fairtopk_backpressure_stalls_total",
+                             "Times a request-line reader (a TCP "
+                             "connection or the stdin loop) blocked on the "
+                             "admission window (max_pending)")
+              .With({})};
     }();
     return *m;
   }
@@ -831,7 +846,10 @@ std::string JsonlService::HandleLine(const std::string& line) {
 
 namespace {
 
-bool IsBlankLine(const std::string& line) {
+/// True for a line of nothing but spaces, tabs and carriage returns.
+/// Both front-ends skip such lines, so hand-written scripts can use
+/// blank lines (and CRLF endings) for readability.
+bool IsBlank(std::string_view line) {
   for (char c : line) {
     if (c != ' ' && c != '\t' && c != '\r') return false;
   }
@@ -840,79 +858,88 @@ bool IsBlankLine(const std::string& line) {
 
 }  // namespace
 
-void JsonlService::Serve(std::istream& in, std::ostream& out,
-                         const ServeOptions& options) {
-  Context context;
-  std::string line;
-  if (options.workers <= 1) {
-    while (std::getline(in, line)) {
-      // Skip blank lines so hand-written scripts can use them for
-      // readability.
-      if (IsBlankLine(line)) continue;
-      out << HandleLine(line, context) << '\n';
-      out.flush();
-    }
-    return;
-  }
-
-  // Concurrent mode: the calling thread reads and admits lines (with
-  // read-ahead backpressure so a huge piped script is not slurped into
-  // memory), pool workers execute them, and completions write whole
-  // response lines under one output lock — in completion order, or
-  // through a reorder buffer keyed by admission sequence when
-  // `ordered`. Requests are leaves (HandleLine never blocks on another
-  // request), satisfying the pool's deadlock rule.
-  ThreadPool pool(options.workers);
-  const size_t max_pending =
-      options.max_pending != 0
-          ? options.max_pending
-          : static_cast<size_t>(options.workers) * 4;
+void JsonlService::ServeStream(const LineSource& next_line,
+                               const LineSink& write_line, Executor& executor,
+                               size_t max_pending, Context& context) {
+  // The calling thread reads and admits lines, the executor runs them,
+  // and each completion files its response in a reorder buffer keyed by
+  // admission sequence, then writes out the run that became ready. The
+  // window bounds admitted-but-unemitted lines (sequence -
+  // next_to_emit), which counts the reorder buffer too: one slow early
+  // request throttles reading instead of letting `held` absorb the rest
+  // of the stream. Requests are leaves (HandleLine never blocks on
+  // another request), satisfying the pool's deadlock rule.
+  max_pending = std::max<size_t>(max_pending, 1);
   std::mutex mutex;
-  std::condition_variable room;  // signaled whenever a request finishes
-  size_t in_flight = 0;
-  size_t next_to_emit = 0;                 // ordered mode: next sequence
-  std::map<size_t, std::string> held;      // ordered mode: done, waiting
-  size_t sequence = 0;
-  while (std::getline(in, line)) {
-    if (IsBlankLine(line)) continue;
+  std::condition_variable room;  // signaled whenever responses are emitted
+  size_t sequence = 0;           // lines admitted
+  size_t next_to_emit = 0;       // sequence of the next response to write
+  std::map<size_t, std::string> held;  // answered, awaiting predecessors
+  bool write_failed = false;
+  std::string line;
+  while (next_line(line)) {
+    if (IsBlank(line)) continue;
+    size_t seq = 0;
     {
       std::unique_lock<std::mutex> lock(mutex);
-      // Ordered mode bounds admitted-but-unemitted (sequence -
-      // next_to_emit), which counts the reorder buffer too: a slow
-      // early request must throttle admission, not just execution, or
-      // `held` would absorb the whole remaining stream. Unordered mode
-      // emits on completion, so in-flight alone is the backlog.
-      room.wait(lock, [&] {
-        return options.ordered ? sequence - next_to_emit < max_pending
-                               : in_flight < max_pending;
-      });
-      ++in_flight;
-    }
-    pool.Submit([this, &out, &options, &mutex, &room, &in_flight,
-                 &next_to_emit, &held, &context, seq = sequence, line] {
-      std::string response = HandleLine(line, context);
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!options.ordered) {
-        out << response << '\n';
-        out.flush();
-      } else {
-        held.emplace(seq, std::move(response));
-        while (!held.empty() && held.begin()->first == next_to_emit) {
-          out << held.begin()->second << '\n';
-          held.erase(held.begin());
-          ++next_to_emit;
-        }
-        out.flush();
+      const auto admissible = [&] {
+        return sequence - next_to_emit < max_pending;
+      };
+      if (!admissible() && metrics::Enabled()) {
+        ServiceMetrics::Get().backpressure_stalls.Inc();
       }
-      --in_flight;
+      room.wait(lock, admissible);
+      seq = sequence++;
+    }
+    executor.Submit([&, seq, line = std::move(line)] {
+      std::string response = HandleLine(line, context);
+      response.push_back('\n');
+      std::lock_guard<std::mutex> lock(mutex);
+      held.emplace(seq, std::move(response));
+      if (metrics::Enabled()) ServiceMetrics::Get().reorder_depth.Inc();
+      while (!held.empty() && held.begin()->first == next_to_emit) {
+        // The reader may be gone (a client that hung up after a
+        // one-shot script, a closed stdout): stop writing, but keep
+        // draining so every admitted line is answered and the loop
+        // can return.
+        if (!write_failed && !write_line(held.begin()->second)) {
+          write_failed = true;
+        }
+        held.erase(held.begin());
+        ++next_to_emit;
+        if (metrics::Enabled()) ServiceMetrics::Get().reorder_depth.Dec();
+      }
       room.notify_all();
     });
-    ++sequence;
   }
   std::unique_lock<std::mutex> lock(mutex);
-  room.wait(lock, [&] { return in_flight == 0; });
-  // Every response emitted: in ordered mode the reorder buffer drains
-  // exactly when the last gap closes, so `held` is empty here.
+  room.wait(lock, [&] { return next_to_emit == sequence; });
+}
+
+void JsonlService::Serve(std::istream& in, std::ostream& out,
+                         const ServeOptions& options) {
+  const int workers = std::max(options.workers, 1);
+  std::unique_ptr<Executor> executor;
+  if (workers > 1) {
+    executor = std::make_unique<ThreadPool>(workers);
+  } else {
+    executor = std::make_unique<InlineExecutor>();
+  }
+  Context context;
+  ServeStream(
+      [&in](std::string& line) {
+        return static_cast<bool>(std::getline(in, line));
+      },
+      [&out](std::string_view response) {
+        out.write(response.data(),
+                  static_cast<std::streamsize>(response.size()));
+        out.flush();
+        return static_cast<bool>(out);
+      },
+      *executor,
+      options.max_pending != 0 ? options.max_pending
+                               : static_cast<size_t>(workers) * 4,
+      context);
 }
 
 }  // namespace fairtopk

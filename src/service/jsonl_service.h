@@ -65,12 +65,14 @@
 // gets an {"id": null, "ok": false, ...} envelope and the stream
 // continues; every line gets exactly one response line.
 //
-// With ServeOptions::workers > 1 the loop executes independent request
-// lines concurrently on a thread pool over the (thread-safe) session.
-// Responses are emitted in COMPLETION order by default — clients
-// correlate by the echoed "id" — or in input order with
-// ServeOptions::ordered (a reorder buffer holds completed responses
-// until their predecessors flush). Ordering of effects is only
+// Both front-ends — Serve() on stdin/stdout and SocketServer on each
+// TCP connection — run one request-line loop, ServeStream(): it skips
+// blank lines, admits at most `max_pending` lines that are not yet
+// answered (read-ahead backpressure), executes them on an Executor
+// (inline, or a pool over the thread-safe session), and emits the
+// responses in input order through a reorder buffer. So with any
+// number of workers the response stream equals the serial one, up to
+// timing fields and cross-request effects. Ordering of effects is only
 // guaranteed through the session's reader/writer lock: a write op
 // (update/append) excludes concurrent detects while it patches the
 // ranking, but WHICH requests run before the write is scheduling —
@@ -81,10 +83,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "api/audit.h"
@@ -97,13 +101,13 @@
 
 namespace fairtopk {
 
+class Executor;
+
 /// Execution knobs of one Serve() loop.
 struct ServeOptions {
   /// Request lines executed concurrently; <= 1 serves serially on the
-  /// calling thread (the classic one-line-at-a-time loop).
+  /// calling thread.
   int workers = 1;
-  /// Emit responses in input order instead of completion order.
-  bool ordered = false;
   /// Upper bound on request lines admitted but not yet answered
   /// (read-ahead backpressure); 0 picks 4 * workers.
   size_t max_pending = 0;
@@ -185,12 +189,30 @@ class JsonlService {
   /// (every line starts on the service's default session).
   std::string HandleLine(const std::string& line);
 
-  /// Reads request lines from `in` until EOF, writing one response
-  /// line per request to `out` (blank lines are skipped). Flushes after
-  /// every response so the tool can be driven interactively by a pipe.
-  /// With options.workers > 1, lines are dispatched to a pool and
-  /// responses stream back tagged by their echoed id (see the file
-  /// comment for the ordering contract). One Context spans the loop.
+  /// Stores the next request line (without its newline) and returns
+  /// true, or returns false at end of input.
+  using LineSource = std::function<bool(std::string&)>;
+  /// Writes one response line, newline included; returns false once
+  /// the destination is gone.
+  using LineSink = std::function<bool(std::string_view)>;
+
+  /// The request-line loop of both front-ends. Reads lines from
+  /// `next_line` on the calling thread, skipping blank ones; admits
+  /// each while fewer than `max_pending` (at least 1) admitted lines
+  /// are unanswered; runs it on `executor` against `context`; and
+  /// writes the responses through `write_line` in input order. After a
+  /// failed write it stops writing but still answers every admitted
+  /// line. Returns once every admitted line has been answered.
+  /// `write_line` runs on executor threads under the loop's lock, so
+  /// its calls never overlap and come in input order.
+  void ServeStream(const LineSource& next_line, const LineSink& write_line,
+                   Executor& executor, size_t max_pending, Context& context);
+
+  /// ServeStream over `in` and `out` with one Context for the loop,
+  /// flushing after every response so the tool can be driven
+  /// interactively by a pipe. options.workers > 1 runs the lines on a
+  /// pool of that size; otherwise they run inline on the calling
+  /// thread.
   void Serve(std::istream& in, std::ostream& out,
              const ServeOptions& options = {});
 

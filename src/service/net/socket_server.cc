@@ -1,5 +1,7 @@
 #include "service/net/socket_server.h"
 
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/metrics/metrics.h"
@@ -8,19 +10,10 @@ namespace fairtopk {
 
 namespace {
 
-bool IsBlank(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
 /// Process-global socket front-end metrics, resolved once.
 struct NetMetrics {
   metrics::Counter& accepted;
   metrics::Gauge& active;
-  metrics::Gauge& reorder_depth;
-  metrics::Counter& backpressure_stalls;
 
   static NetMetrics& Get() {
     static NetMetrics* m = [] {
@@ -33,16 +26,6 @@ struct NetMetrics {
           registry
               .GaugeFamily("fairtopk_connections_active",
                            "TCP connections currently being served")
-              .With({}),
-          registry
-              .GaugeFamily("fairtopk_reorder_buffer_depth",
-                           "Completed responses held for in-order emission "
-                           "across all connections")
-              .With({}),
-          registry
-              .CounterFamily("fairtopk_backpressure_stalls_total",
-                             "Times a connection reader blocked on the "
-                             "admission window (max_pending)")
               .With({})};
     }();
     return *m;
@@ -55,7 +38,6 @@ SocketServer::SocketServer(JsonlService* service, TcpListener listener,
                            SocketServerOptions options)
     : service_(service),
       listener_(std::move(listener)),
-      options_(options),
       max_pending_(options.max_pending != 0
                        ? options.max_pending
                        : static_cast<size_t>(options.workers) * 4),
@@ -78,7 +60,7 @@ void SocketServer::RequestShutdown() {
   listener_.Interrupt();
   // Readers blocked in Receive() see EOF and fall into their drain
   // path. Connections mid-request are untouched: the reader only
-  // exits after its reorder buffer empties.
+  // exits after every admitted line is answered.
   for (Connection& connection : connections_) {
     // Under the connection mutex: ShutdownRead must not race the
     // reader's final Close() (which recycles the descriptor).
@@ -123,81 +105,54 @@ void SocketServer::AcceptLoop() {
 }
 
 void SocketServer::ReadLoop(Connection& connection) {
-  std::string pending;  // bytes received, not yet newline-terminated
+  // Received bytes from `start` on are not yet handed out as lines.
+  std::string pending;
+  size_t start = 0;
+  bool eof = false;  // error, EOF, or shutdown
   char buffer[4096];
-  for (;;) {
-    Result<size_t> received =
-        connection.socket.Receive(buffer, sizeof(buffer));
-    if (!received.ok() || *received == 0) break;  // error, EOF, shutdown
-    pending.append(buffer, *received);
-    size_t start = 0;
-    for (size_t newline = pending.find('\n', start);
-         newline != std::string::npos;
-         newline = pending.find('\n', start)) {
-      std::string line = pending.substr(start, newline - start);
-      start = newline + 1;
-      if (!IsBlank(line)) SubmitLine(connection, std::move(line));
+  const auto next_line = [&](std::string& line) {
+    for (;;) {
+      const size_t newline = pending.find('\n', start);
+      if (newline != std::string::npos) {
+        line.assign(pending, start, newline - start);
+        start = newline + 1;
+        return true;
+      }
+      pending.erase(0, start);
+      start = 0;
+      if (eof) {
+        // A final unterminated line is still a request — matching the
+        // stdin loop, where getline yields it.
+        line = std::move(pending);
+        pending.clear();
+        return !line.empty();
+      }
+      Result<size_t> received =
+          connection.socket.Receive(buffer, sizeof(buffer));
+      if (!received.ok() || *received == 0) {
+        eof = true;
+      } else {
+        pending.append(buffer, *received);
+      }
     }
-    pending.erase(0, start);
-  }
-  // A final unterminated line is still a request — matching the
-  // stdin loop, where getline yields it.
-  if (!IsBlank(pending)) SubmitLine(connection, std::move(pending));
-  // Drain: every admitted line must be answered before the FIN.
-  std::unique_lock<std::mutex> lock(connection.mutex);
-  connection.room.wait(lock, [&] {
-    return connection.next_to_emit == connection.sequence;
-  });
-  // Still under the mutex: Close() recycles the fd, so it must not
-  // overlap a shutdown thread's ShutdownRead on this connection.
+  };
+  service_->ServeStream(
+      next_line,
+      [&connection](std::string_view response) {
+        return connection.socket.SendAll(response.data(), response.size())
+            .ok();
+      },
+      pool_, max_pending_, connection.context);
+  // Every admitted line is answered. Under the mutex: Close() recycles
+  // the fd, so it must not overlap a shutdown thread's ShutdownRead on
+  // this connection.
+  std::lock_guard<std::mutex> lock(connection.mutex);
   connection.socket.ShutdownWrite();
   connection.socket.Close();
   // The gauge counts served connections, so the decrement pairs with
   // the accept-side increment even though the Connection node itself
   // lives until Wait().
   if (metrics::Enabled()) NetMetrics::Get().active.Dec();
-}
-
-void SocketServer::SubmitLine(Connection& connection, std::string line) {
-  {
-    std::unique_lock<std::mutex> lock(connection.mutex);
-    // Same predicate as the ordered stdin loop: the window counts the
-    // reorder buffer too, so one slow early request throttles this
-    // socket's admission instead of letting `held` absorb everything
-    // the client writes.
-    const auto admissible = [&] {
-      return connection.sequence - connection.next_to_emit < max_pending_;
-    };
-    if (!admissible() && metrics::Enabled()) {
-      NetMetrics::Get().backpressure_stalls.Inc();
-    }
-    connection.room.wait(lock, admissible);
-    ++connection.sequence;
-  }
-  const size_t seq = connection.sequence - 1;
-  pool_.Submit([this, &connection, seq, line = std::move(line)] {
-    std::string response = service_->HandleLine(line, connection.context);
-    std::lock_guard<std::mutex> lock(connection.mutex);
-    connection.held.emplace(seq, std::move(response));
-    if (metrics::Enabled()) NetMetrics::Get().reorder_depth.Inc();
-    while (!connection.held.empty() &&
-           connection.held.begin()->first == connection.next_to_emit) {
-      if (!connection.send_failed) {
-        std::string& out = connection.held.begin()->second;
-        out.push_back('\n');
-        // The peer may already be gone (client closed after a
-        // one-shot script); keep draining so the reader can exit, but
-        // stop writing.
-        if (!connection.socket.SendAll(out).ok()) {
-          connection.send_failed = true;
-        }
-      }
-      connection.held.erase(connection.held.begin());
-      ++connection.next_to_emit;
-      if (metrics::Enabled()) NetMetrics::Get().reorder_depth.Dec();
-    }
-    connection.room.notify_all();
-  });
 }
 
 }  // namespace fairtopk

@@ -6,12 +6,13 @@
 // and never occupy a pool slot — requests are leaves, satisfying the
 // pool's no-nested-blocking rule).
 //
-// Framing: requests are newline-delimited, exactly as on stdin.
-// Blank/whitespace-only lines are skipped, a trailing unterminated
-// line at EOF is still served, and CR before LF is tolerated (telnet
-// clients). Responses to one connection are emitted in that
-// connection's input order through a per-connection reorder buffer;
-// `max_pending` bounds admitted-but-unanswered lines per connection
+// Framing: requests are newline-delimited, exactly as on stdin; a
+// trailing unterminated line at EOF is still served. Each reader frames
+// its socket's bytes into lines and runs them through the stdin
+// front-end's loop, JsonlService::ServeStream, on the shared pool: so
+// blank/whitespace-only lines are skipped, CR before LF is tolerated
+// (telnet clients), responses leave in the connection's input order,
+// and `max_pending` bounds admitted-but-unanswered lines per connection
 // (a slow request throttles reading from that socket — TCP backpressure
 // reaches the client — without stalling other connections).
 //
@@ -24,12 +25,9 @@
 #ifndef FAIRTOPK_SERVICE_NET_SOCKET_SERVER_H_
 #define FAIRTOPK_SERVICE_NET_SOCKET_SERVER_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -84,31 +82,25 @@ class SocketServer {
   size_t connections_accepted() const;
 
  private:
-  /// Per-connection serving state: the socket, its reader thread, the
-  /// client's session Context, and the reorder buffer the shared pool
-  /// completes into.
+  /// Per-connection state: the socket, the client's session Context,
+  /// and the reader thread serving it.
   struct Connection {
     TcpConnection socket;
     JsonlService::Context context;
     std::thread reader;
-
+    /// Orders a shutdown's ShutdownRead against the reader's final
+    /// Close (which recycles the descriptor).
     std::mutex mutex;
-    std::condition_variable room;    ///< signaled per finished request
-    size_t next_to_emit = 0;         ///< next sequence to send
-    size_t sequence = 0;             ///< lines admitted so far
-    std::map<size_t, std::string> held;  ///< done, awaiting predecessors
-    bool send_failed = false;  ///< peer gone: stop writing, just drain
   };
 
   void AcceptLoop();
+  /// Frames the connection's bytes into request lines and serves them
+  /// through JsonlService::ServeStream; closes the socket once every
+  /// admitted line is answered.
   void ReadLoop(Connection& connection);
-  /// Admits one request line (blocking on the connection's
-  /// backpressure window) and schedules it on the pool.
-  void SubmitLine(Connection& connection, std::string line);
 
   JsonlService* service_;
   TcpListener listener_;
-  const SocketServerOptions options_;
   const size_t max_pending_;
   ThreadPool pool_;
 

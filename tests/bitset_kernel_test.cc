@@ -1,8 +1,9 @@
 // Differential tests for the runtime-dispatched bitset kernels: every
 // kernel variant available on this build/CPU must be bit-identical to
-// the scalar reference for every primitive, across sizes that straddle
-// word (64-bit) and vector (256/512-bit) boundaries and prefix lengths
-// that land on, before, and after those boundaries. Plus
+// the scalar reference for every entry of the KernelOps table, across
+// sizes that straddle word (64-bit) and vector (256/512-bit) boundaries
+// and prefix lengths that land on, before, and after those boundaries,
+// over full and prefix-only word spans. Plus
 // Resize-shrink-then-grow high-bit hygiene under each kernel, and the
 // dispatch surface itself.
 #include <cstdint>
@@ -40,8 +41,43 @@ Bitset RandomBitset(size_t n, double density, Rng& rng) {
   return bits;
 }
 
-// Every counting/materializing primitive of one (a, b, k) triple,
-// gathered so the per-kernel runs can be compared field by field.
+/// One bit count k split for the kernels, plus the number of words a
+/// prefix-only sweep must touch to cover it.
+struct Prefix {
+  size_t k_full = 0;
+  uint64_t k_mask = 0;
+  size_t span = 0;
+
+  explicit Prefix(size_t k) {
+    kernels::SplitPrefix(k, &k_full, &k_mask);
+    span = k_full + (k_mask != 0 ? 1 : 0);
+  }
+};
+
+/// Set bits of `a` among positions [0, k), sweeping only the prefix
+/// span (the kernels' `total` over that span is discarded).
+size_t PrefixCount(const Bitset& a, size_t k) {
+  const Prefix p(k);
+  size_t total = 0;
+  size_t prefix = 0;
+  kernels::Active().counts(a.words().data(), p.span, p.k_full, p.k_mask,
+                           &total, &prefix);
+  return prefix;
+}
+
+/// Set bits of (a AND b) among positions [0, k), prefix span only.
+size_t AndPrefixCount(const Bitset& a, const Bitset& b, size_t k) {
+  const Prefix p(k);
+  size_t total = 0;
+  size_t prefix = 0;
+  kernels::Active().and_counts(a.words().data(), b.words().data(), p.span,
+                               p.k_full, p.k_mask, &total, &prefix);
+  return prefix;
+}
+
+// Every entry of the active kernel table applied to one (a, b, k)
+// triple, gathered so the per-kernel runs can be compared field by
+// field.
 struct PrimitiveResults {
   size_t count;
   size_t count_prefix;
@@ -58,23 +94,27 @@ struct PrimitiveResults {
 };
 
 PrimitiveResults RunPrimitives(const Bitset& a, const Bitset& b, size_t k) {
+  const kernels::KernelOps& ops = kernels::Active();
+  const uint64_t* wa = a.words().data();
+  const uint64_t* wb = b.words().data();
+  const size_t n = a.words().size();
+  const Prefix p(k);
+  size_t unused = 0;
   PrimitiveResults r;
   r.count = a.Count();
-  r.count_prefix = a.CountPrefix(k);
+  r.count_prefix = PrefixCount(a, k);
   a.Counts(k, &r.counts_total, &r.counts_prefix);
-  r.and_count = a.AndCount(b);
-  r.and_count_prefix = a.AndCountPrefix(b, k);
-  a.AndCounts(b, k, &r.and_counts_total, &r.and_counts_prefix);
-  Bitset fused;
-  fused.AssignAndCount(a, b, k, &r.assign_total, &r.assign_prefix);
-  r.assign_and_count_words = fused.words();
-  Bitset assigned;
-  assigned.AssignAnd(a, b);
-  r.assign_and_words = assigned.words();
-  Bitset in_place;
-  in_place.CopyFrom(a);
-  in_place.AndWith(b);
-  r.and_with_words = in_place.words();
+  ops.and_counts(wa, wb, n, 0, 0, &r.and_count, &unused);
+  r.and_count_prefix = AndPrefixCount(a, b, k);
+  ops.and_counts(wa, wb, n, p.k_full, p.k_mask, &r.and_counts_total,
+                 &r.and_counts_prefix);
+  r.assign_and_count_words.resize(n);
+  ops.assign_and_count(r.assign_and_count_words.data(), wa, wb, n, p.k_full,
+                       p.k_mask, &r.assign_total, &r.assign_prefix);
+  r.assign_and_words.resize(n);
+  ops.assign_and(r.assign_and_words.data(), wa, wb, n);
+  r.and_with_words = a.words();
+  ops.and_with(r.and_with_words.data(), wb, n);
   return r;
 }
 
@@ -140,8 +180,8 @@ TEST(BitsetKernelTest, AllOnesCountsMatchUnderEveryKernel) {
       ASSERT_TRUE(forced.ok()) << name;
       EXPECT_EQ(ones.Count(), n) << "kernel=" << name << " n=" << n;
       for (size_t k : PrefixLengths(n)) {
-        EXPECT_EQ(ones.CountPrefix(k), k) << "kernel=" << name << " n=" << n;
-        EXPECT_EQ(ones.AndCountPrefix(ones, k), k)
+        EXPECT_EQ(PrefixCount(ones, k), k) << "kernel=" << name << " n=" << n;
+        EXPECT_EQ(AndPrefixCount(ones, ones, k), k)
             << "kernel=" << name << " n=" << n;
       }
     }
@@ -216,9 +256,11 @@ TEST(BitsetKernelTest, ResizeShrinkThenGrowHighBitHygiene) {
       }
       Bitset ones(grow);
       for (size_t i = 0; i < grow; ++i) ones.Set(i);
-      EXPECT_EQ(bits.AndCount(ones), want) << "kernel=" << name;
+      const Prefix cut(shrink);
       size_t total = 0, prefix = 0;
-      bits.AndCounts(ones, shrink, &total, &prefix);
+      kernels::Active().and_counts(bits.words().data(), ones.words().data(),
+                                   bits.words().size(), cut.k_full,
+                                   cut.k_mask, &total, &prefix);
       EXPECT_EQ(total, want) << "kernel=" << name;
       EXPECT_EQ(prefix, want) << "kernel=" << name;
     }

@@ -5,9 +5,25 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "index/kernels/kernels.h"
 
 namespace fairtopk {
 namespace {
+
+/// Set bits among positions [0, k), through Bitset::Counts.
+size_t CountPrefix(const Bitset& bits, size_t k) {
+  size_t total = 0;
+  size_t prefix = 0;
+  bits.Counts(k, &total, &prefix);
+  return prefix;
+}
+
+/// (a AND b) materialized through the active kernel table.
+std::vector<uint64_t> AndWords(const Bitset& a, const Bitset& b) {
+  std::vector<uint64_t> out = a.words();
+  kernels::Active().and_with(out.data(), b.words().data(), out.size());
+  return out;
+}
 
 TEST(BitsetTest, SetTestClear) {
   Bitset bits(130);
@@ -28,11 +44,11 @@ TEST(BitsetTest, CountAndPrefix) {
   Bitset bits(200);
   for (size_t i = 0; i < 200; i += 3) bits.Set(i);
   EXPECT_EQ(bits.Count(), 67u);
-  EXPECT_EQ(bits.CountPrefix(0), 0u);
-  EXPECT_EQ(bits.CountPrefix(1), 1u);
-  EXPECT_EQ(bits.CountPrefix(3), 1u);
-  EXPECT_EQ(bits.CountPrefix(4), 2u);
-  EXPECT_EQ(bits.CountPrefix(200), bits.Count());
+  EXPECT_EQ(CountPrefix(bits, 0), 0u);
+  EXPECT_EQ(CountPrefix(bits, 1), 1u);
+  EXPECT_EQ(CountPrefix(bits, 3), 1u);
+  EXPECT_EQ(CountPrefix(bits, 4), 2u);
+  EXPECT_EQ(CountPrefix(bits, 200), bits.Count());
 }
 
 TEST(BitsetTest, PrefixAtWordBoundaries) {
@@ -41,27 +57,25 @@ TEST(BitsetTest, PrefixAtWordBoundaries) {
   bits.Set(64);
   bits.Set(127);
   bits.Set(128);
-  EXPECT_EQ(bits.CountPrefix(63), 0u);
-  EXPECT_EQ(bits.CountPrefix(64), 1u);
-  EXPECT_EQ(bits.CountPrefix(65), 2u);
-  EXPECT_EQ(bits.CountPrefix(128), 3u);
-  EXPECT_EQ(bits.CountPrefix(129), 4u);
+  EXPECT_EQ(CountPrefix(bits, 63), 0u);
+  EXPECT_EQ(CountPrefix(bits, 64), 1u);
+  EXPECT_EQ(CountPrefix(bits, 65), 2u);
+  EXPECT_EQ(CountPrefix(bits, 128), 3u);
+  EXPECT_EQ(CountPrefix(bits, 129), 4u);
 }
 
-TEST(BitsetTest, AndWithAndCopyFrom) {
+TEST(BitsetTest, KernelAndWithIntersects) {
   Bitset a(100);
   Bitset b(100);
   for (size_t i = 0; i < 100; i += 2) a.Set(i);
   for (size_t i = 0; i < 100; i += 3) b.Set(i);
-  Bitset c;
-  c.CopyFrom(a);
-  c.AndWith(b);
+  const Bitset c = Bitset::FromWords(100, AndWords(a, b));
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(c.Test(i), i % 6 == 0) << i;
   }
 }
 
-TEST(BitsetTest, AndCountMatchesMaterializedAnd) {
+TEST(BitsetTest, KernelAndCountsMatchMaterializedAnd) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 1 + rng.UniformUint64(300);
@@ -82,14 +96,23 @@ TEST(BitsetTest, AndCountMatchesMaterializedAnd) {
     for (size_t i = 0; i < n; ++i) {
       if (va[i] && vb[i]) ++expected;
     }
-    EXPECT_EQ(a.AndCount(b), expected);
-
     const size_t k = rng.UniformUint64(n + 1);
     size_t expected_prefix = 0;
     for (size_t i = 0; i < k; ++i) {
       if (va[i] && vb[i]) ++expected_prefix;
     }
-    EXPECT_EQ(a.AndCountPrefix(b, k), expected_prefix);
+    size_t k_full = 0;
+    uint64_t k_mask = 0;
+    kernels::SplitPrefix(k, &k_full, &k_mask);
+    size_t total = 0;
+    size_t prefix = 0;
+    kernels::Active().and_counts(a.words().data(), b.words().data(),
+                                 a.words().size(), k_full, k_mask, &total,
+                                 &prefix);
+    EXPECT_EQ(total, expected);
+    EXPECT_EQ(prefix, expected_prefix);
+    // The materialized intersection counts the same.
+    EXPECT_EQ(Bitset::FromWords(n, AndWords(a, b)).Count(), expected);
   }
 }
 
@@ -113,7 +136,7 @@ TEST(BitsetTest, ResizeGrowPreservesBitsAndZeroesNewPositions) {
   for (size_t i = 70; i < 200; ++i) EXPECT_FALSE(bits.Test(i));
   bits.Set(199);
   EXPECT_EQ(bits.Count(), 3u);
-  EXPECT_EQ(bits.CountPrefix(70), 2u);
+  EXPECT_EQ(CountPrefix(bits, 70), 2u);
 }
 
 TEST(BitsetTest, ResizeShrinkDiscardsHighBits) {
@@ -135,7 +158,7 @@ TEST(BitsetTest, ResizeWithinSameWordKeepsCountsExact) {
   EXPECT_EQ(bits.Count(), 4u);
   bits.Resize(10);
   EXPECT_EQ(bits.Count(), 4u);
-  EXPECT_EQ(bits.CountPrefix(10), 4u);
+  EXPECT_EQ(CountPrefix(bits, 10), 4u);
 }
 
 }  // namespace

@@ -20,7 +20,9 @@
 
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/socket.h"
 #include "relation/table.h"
+#include "service/net/socket_server.h"
 #include "service/session_catalog.h"
 
 namespace fairtopk {
@@ -563,9 +565,8 @@ TEST_F(JsonlServiceTest, ServeProcessesLinesAndSkipsBlanks) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent Serve (--workers): responses must be a permutation of the
-// serial run keyed by id, input-ordered under `ordered`, and malformed
-// lines must keep the stream alive in both modes.
+// Concurrent Serve (--workers): responses leave in input order, so the
+// stream equals the serial run's, and malformed lines keep it alive.
 
 namespace {
 
@@ -667,41 +668,14 @@ TEST_F(JsonlServiceTest, WorkersResponsesArePermutationOfSerialById) {
   JsonlService workers_service(&session.value(), defaults);
   workers_service.Serve(workers_in, workers_out, options);
 
+  // Input order is the only order: the concurrent stream is the serial
+  // one, id by id and payload by payload.
   auto serial = ParseResponses(serial_out.str());
   auto concurrent = ParseResponses(workers_out.str());
-  ASSERT_EQ(serial.size(), concurrent.size());
   std::map<std::string, std::string> serial_by_id(serial.begin(),
                                                   serial.end());
-  std::map<std::string, std::string> concurrent_by_id(concurrent.begin(),
-                                                      concurrent.end());
   ASSERT_EQ(serial_by_id.size(), serial.size()) << "duplicate ids";
-  EXPECT_EQ(concurrent_by_id, serial_by_id);
-}
-
-TEST_F(JsonlServiceTest, OrderedWorkersEmitInInputOrder) {
-  const std::string script = WorkerScript();
-  std::istringstream serial_in(script);
-  std::ostringstream serial_out;
-  service_->Serve(serial_in, serial_out);
-
-  ServeOptions options;
-  options.workers = 3;
-  options.ordered = true;
-  auto session = AuditSession::Create(ServiceTable(100, 99), "score");
-  ASSERT_TRUE(session.ok());
-  ServeDefaults defaults;
-  defaults.dataset = "unit-fixture";
-  defaults.config = DetectionConfig{5, 30, 10};
-  JsonlService ordered_service(&session.value(), defaults);
-  std::istringstream ordered_in(script);
-  std::ostringstream ordered_out;
-  ordered_service.Serve(ordered_in, ordered_out, options);
-
-  // Same responses in the same (input) order — the streams compare
-  // equal id-by-id and payload-by-payload.
-  auto serial = ParseResponses(serial_out.str());
-  auto ordered = ParseResponses(ordered_out.str());
-  EXPECT_EQ(ordered, serial);
+  EXPECT_EQ(concurrent, serial);
 }
 
 TEST_F(JsonlServiceTest, WorkersSurviveMalformedLinesMidStream) {
@@ -714,7 +688,6 @@ TEST_F(JsonlServiceTest, WorkersSurviveMalformedLinesMidStream) {
   for (int workers : {1, 4}) {
     ServeOptions options;
     options.workers = workers;
-    options.ordered = true;
     std::istringstream in(script);
     std::ostringstream out;
     service_->Serve(in, out, options);
@@ -730,6 +703,74 @@ TEST_F(JsonlServiceTest, WorkersSurviveMalformedLinesMidStream) {
     EXPECT_EQ(responses[2].first, "\"b\"");
     EXPECT_EQ(responses[4].first, "\"c\"");
   }
+}
+
+// Both front-ends run ServeStream, so one script — CRLF endings, blank
+// lines, a malformed line, a detect_batch, and a final line without
+// its newline — answers with the same stream through Serve on a
+// stringstream as through a SocketServer connection, both with 4
+// workers.
+TEST(JsonlFrontEndTest, StdinAndTcpAnswerWithTheSameStream) {
+  const std::string script =
+      "{\"op\":\"detect\",\"id\":\"d1\",\"measure\":\"prop\","
+      "\"algo\":\"bounds\",\"tau\":6}\r\n"
+      "\n"
+      "  \t\r\n"
+      "{\"op\":\"detect_batch\",\"id\":\"b1\",\"queries\":["
+      "{\"measure\":\"prop\",\"algo\":\"bounds\",\"tau\":7},"
+      "{\"detector\":\"GlobalIterTD\",\"lower\":0.3}]}\r\n"
+      "utter garbage {{{\n"
+      "{\"op\":\"verify\",\"id\":\"v1\",\"measure\":\"global\","
+      "\"lower\":0.3,\"group\":{\"gender\":\"F\"}}\n"
+      "\n"
+      "{\"op\":\"capabilities\",\"id\":\"caps\"}\r\n"
+      "{\"op\":\"detect\",\"id\":\"d2\",\"detector\":\"GlobalIterTD\","
+      "\"lower\":0.4}";
+  ServeDefaults defaults;
+  defaults.dataset = "unit-fixture";
+  defaults.config = DetectionConfig{5, 30, 10};
+
+  // Separate sessions over the same data, so neither run's cache
+  // answers the other's queries.
+  auto stdin_session = AuditSession::Create(ServiceTable(100, 99), "score");
+  ASSERT_TRUE(stdin_session.ok());
+  JsonlService stdin_service(&stdin_session.value(), defaults);
+  ServeOptions options;
+  options.workers = 4;
+  std::istringstream in(script);
+  std::ostringstream out;
+  stdin_service.Serve(in, out, options);
+
+  auto tcp_session = AuditSession::Create(ServiceTable(100, 99), "score");
+  ASSERT_TRUE(tcp_session.ok());
+  JsonlService tcp_service(&tcp_session.value(), defaults);
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  SocketServerOptions server_options;
+  server_options.workers = 4;
+  SocketServer server(&tcp_service, std::move(listener).value(),
+                      server_options);
+  server.Start();
+  auto connected = TcpConnect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  TcpConnection connection = std::move(connected).value();
+  ASSERT_TRUE(connection.SendAll(script).ok());
+  connection.ShutdownWrite();
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    auto got = connection.Receive(buffer, sizeof(buffer));
+    if (!got.ok() || *got == 0) break;
+    received.append(buffer, *got);
+  }
+  server.RequestShutdown();
+  server.Wait();
+
+  const auto stdin_stream = ParseResponses(out.str());
+  ASSERT_EQ(stdin_stream.size(), 6u) << out.str();
+  EXPECT_EQ(stdin_stream[2].first, "null");  // the malformed line
+  EXPECT_EQ(stdin_stream[5].first, "\"d2\"");  // the unterminated line
+  EXPECT_EQ(ParseResponses(received), stdin_stream);
 }
 
 // ---------------------------------------------------------------------------
@@ -971,12 +1012,13 @@ TEST_F(JsonlServiceTest, OrderedModeBackpressureThrottlesAdmission) {
   std::ostringstream out;
   ServeOptions options;
   options.workers = 2;
-  options.ordered = true;
   options.max_pending = kMaxPending;
   std::thread serve([&] { service_->Serve(in, out, options); });
 
-  // With request 0 stuck, the window `sequence - next_to_emit <
-  // max_pending` admits exactly kMaxPending lines; the loop reads one
+  // ServeStream is the loop of both front-ends, so this pins the TCP
+  // connections' admission too. With request 0 stuck, the window
+  // `sequence - next_to_emit < max_pending` admits exactly kMaxPending
+  // lines; the loop reads one
   // more line before blocking on admission, so consumption plateaus
   // at kMaxPending + 1 — NOT the whole script. (This is the
   // regression test for bounding `held`: an in_flight-only predicate

@@ -12,7 +12,6 @@
 #include "detect/itertd.h"
 #include "detect/prop_bounds.h"
 #include "detect/upper_bounds.h"
-#include "detect/variants.h"
 #include "test_util.h"
 
 namespace fairtopk {
@@ -124,27 +123,6 @@ TEST_P(ParallelEquivalenceTest, GlobalUpperBounds) {
   bounds.upper = StepFunction::Constant(0.5 * GetParam().k_min + 1.0);
   ExpectThreadInvariant([&](const DetectionConfig& config) {
     return DetectGlobalUpperBounds(*input_, bounds, config);
-  });
-}
-
-TEST_P(ParallelEquivalenceTest, GlobalVariantBelowMostSpecific) {
-  GlobalBoundSpec bounds;
-  bounds.lower = StepFunction::Constant(0.3 * GetParam().k_min + 2.0);
-  ExpectThreadInvariant([&](const DetectionConfig& config) {
-    return DetectGlobalVariant(*input_, bounds, config,
-                               ViolationSide::kBelowLower,
-                               ReportingSemantics::kMostSpecific);
-  });
-}
-
-TEST_P(ParallelEquivalenceTest, PropVariantAboveMostGeneral) {
-  PropBoundSpec bounds;
-  bounds.alpha = 0.5;
-  bounds.beta = 1.4;
-  ExpectThreadInvariant([&](const DetectionConfig& config) {
-    return DetectPropVariant(*input_, bounds, config,
-                             ViolationSide::kAboveUpper,
-                             ReportingSemantics::kMostGeneral);
   });
 }
 

@@ -1,14 +1,12 @@
 // Randomized cross-module properties tying the library together:
-// detection <-> verification consistency, variant semantics vs the
-// exhaustive oracle, repair feasibility, and CSV persistence of
-// detection inputs.
+// detection <-> verification consistency, repair feasibility, and CSV
+// persistence of detection inputs.
 #include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "detect/itertd.h"
-#include "detect/variants.h"
 #include "detect/verify.h"
 #include "mitigate/rerank.h"
 #include "relation/csv.h"
@@ -54,78 +52,6 @@ TEST_P(PipelinePropertyTest, DetectionAgreesWithVerification) {
                     p) != detected->AtK(12).end();
       EXPECT_EQ(!report->fair(), reported) << p.ToString(input->space());
     }
-  }
-}
-
-// Variant semantics against the exhaustive oracle on random data.
-TEST_P(PipelinePropertyTest, VariantsMatchOracles) {
-  const uint64_t seed = GetParam();
-  Table table = testing::RandomTable(100, 3, {3, 2}, seed * 5);
-  auto input = DetectionInput::PrepareWithRanking(
-      table, testing::RandomRanking(100, seed * 5));
-  ASSERT_TRUE(input.ok());
-  const int k = 20;
-  const int tau = 8;
-  GlobalBoundSpec bounds;
-  bounds.lower = StepFunction::Constant(6.0);
-  bounds.upper = StepFunction::Constant(7.0);
-  DetectionConfig config{k, k, tau};
-
-  // Collect all substantial violators for both sides.
-  std::vector<Pattern> below;
-  std::vector<Pattern> above;
-  for (const Pattern& p : testing::AllPatterns(input->space())) {
-    if (input->index().PatternCount(p) < static_cast<size_t>(tau)) continue;
-    const double count = static_cast<double>(
-        input->index().TopKCount(p, static_cast<size_t>(k)));
-    if (count < 6.0) below.push_back(p);
-    if (count > 7.0) above.push_back(p);
-  }
-  auto most_general = [](const std::vector<Pattern>& all) {
-    std::vector<Pattern> out;
-    for (const Pattern& p : all) {
-      bool has = false;
-      for (const Pattern& q : all) {
-        if (q.IsProperAncestorOf(p)) has = true;
-      }
-      if (!has) out.push_back(p);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  auto most_specific = [](const std::vector<Pattern>& all) {
-    std::vector<Pattern> out;
-    for (const Pattern& p : all) {
-      bool has = false;
-      for (const Pattern& q : all) {
-        if (p.IsProperAncestorOf(q)) has = true;
-      }
-      if (!has) out.push_back(p);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-
-  struct Case {
-    ViolationSide side;
-    ReportingSemantics semantics;
-    std::vector<Pattern> expected;
-  };
-  const Case cases[] = {
-      {ViolationSide::kBelowLower, ReportingSemantics::kMostGeneral,
-       most_general(below)},
-      {ViolationSide::kBelowLower, ReportingSemantics::kMostSpecific,
-       most_specific(below)},
-      {ViolationSide::kAboveUpper, ReportingSemantics::kMostGeneral,
-       most_general(above)},
-      {ViolationSide::kAboveUpper, ReportingSemantics::kMostSpecific,
-       most_specific(above)},
-  };
-  for (const Case& c : cases) {
-    auto result =
-        DetectGlobalVariant(*input, bounds, config, c.side, c.semantics);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->AtK(k), c.expected);
   }
 }
 

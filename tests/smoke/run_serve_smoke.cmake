@@ -27,6 +27,14 @@ execute_process(
   RESULT_VARIABLE exit_code
 )
 
+if(DEFINED EXPECT_EXIT)
+  if(NOT exit_code EQUAL EXPECT_EXIT)
+    message(FATAL_ERROR
+            "${BINARY} exited with ${exit_code}, expected ${EXPECT_EXIT}")
+  endif()
+  return()
+endif()
+
 if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "${BINARY} exited with ${exit_code}")
 endif()

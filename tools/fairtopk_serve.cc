@@ -56,7 +56,6 @@ struct Args {
   SessionSpec spec;
   int batch_workers = 0;
   int workers = 1;
-  bool ordered = false;
   int listen_port = -1;  // -1 = stdin/stdout mode
   std::string host = "127.0.0.1";
   int max_pending = 0;
@@ -73,14 +72,9 @@ std::vector<Flag> ServeFlags(Args& args) {
        &args.batch_workers, 0, 4096},
       {"--workers", "N",
        "request lines executed concurrently (default 1 = serial; 0 = "
-       "hardware concurrency). On stdin, responses stream in completion "
-       "order, tagged by request id; on TCP the pool is shared by all "
-       "connections",
+       "hardware concurrency). Responses always leave in input order; on "
+       "TCP the pool is shared by all connections",
        &args.workers, 0, 4096},
-      {"--ordered", "",
-       "with --workers on stdin, reorder responses into input order (TCP "
-       "connections are always ordered)",
-       &args.ordered},
       {"--listen", "PORT",
        "serve TCP on --host instead of stdin (0 picks an ephemeral port, "
        "printed on stderr); SIGINT/SIGTERM drains and exits 0",
@@ -228,13 +222,11 @@ int RunServe(Args& args) {
   if (args.listen_port < 0) {
     ServeOptions serve_options;
     serve_options.workers = workers;
-    serve_options.ordered = args.ordered;
     serve_options.max_pending = static_cast<size_t>(args.max_pending);
     std::fprintf(stderr,
                  "session ready: %d rows, %zu pattern attributes, "
-                 "%d worker(s)%s\n",
-                 n, attributes, serve_options.workers,
-                 serve_options.ordered ? " (ordered)" : "");
+                 "%d worker(s)\n",
+                 n, attributes, serve_options.workers);
     service.Serve(std::cin, std::cout, serve_options);
     CompactOnExit(catalog);
     return 0;
