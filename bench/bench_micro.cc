@@ -296,12 +296,11 @@ void BM_SessionReuseDetect(benchmark::State& state) {
 BENCHMARK(BM_SessionReuseDetect)->Arg(0)->Arg(1);
 
 // Instrumentation overhead on the BM_SessionReuseDetect/0 workload
-// (cold-cache detect, the instrumented hot path): arg 0 runs with the
-// metrics kill switch OFF — the per-site cost is one relaxed load and
-// branch, gated in CI to stay within noise of the uninstrumented
-// baseline — and arg 1 runs fully instrumented with a RequestTrace
-// attached (metrics on + span/counter reporting), the everything-on
-// worst case.
+// (cold-cache detect): BM_SessionReuseDetect/0 already pays every
+// always-on metric site, and this runs it with a RequestTrace attached
+// as well (span and counter reporting), the everything-on worst case.
+// The arg selects nothing; it keeps the name `BM_MetricsOverhead/1`
+// that ci.sh lists.
 void BM_MetricsOverhead(benchmark::State& state) {
   static AuditSession* session =
       new AuditSession(MediumSession(/*rebuild_threshold=*/0.5));
@@ -309,20 +308,17 @@ void BM_MetricsOverhead(benchmark::State& state) {
   query.detector = "GlobalBounds";
   query.config = DetectionConfig{10, 49, 1000};
   query.bounds = GlobalBoundSpec::PaperDefault(49);
-  const bool instrumented = state.range(0) == 1;
-  metrics::SetEnabled(instrumented);
   session->ResetStats();
   for (auto _ : state) {
     // One trace per request, as the serving layer allocates them.
     metrics::RequestTrace trace;
-    query.trace = instrumented ? &trace : nullptr;
+    query.trace = &trace;
     session->InvalidateCache();
     auto result = session->Detect(query);
     benchmark::DoNotOptimize(result);
   }
-  metrics::SetEnabled(true);
 }
-BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1);
+BENCHMARK(BM_MetricsOverhead)->Arg(1);
 
 // Batched serving vs N sequential Detect() calls on the 20k-row
 // synthetic, with the result cache DISABLED (the streaming/serving

@@ -13,9 +13,10 @@
 #   tsan      ThreadSanitizer over every `concurrency`-labeled test
 #             (ctest -L concurrency — suites opt in via the label in
 #             tests/CMakeLists.txt, not by editing a regex here)
-#   perf      perf smoke: pinned bench_micro subset vs the checked-in
-#             baseline via tools/bench_compare.py, plus the intra-run
-#             4-vs-1-worker serving throughput gate
+#   perf      perf smoke: pinned bench_micro subset (medians of 5
+#             repetitions) vs the checked-in baseline via
+#             tools/bench_compare.py, plus the intra-run 4-vs-1-worker
+#             serving throughput gate
 #
 #   ./ci.sh                    # headers tier1 asan tsan
 #   ./ci.sh tier1              # a single stage
@@ -37,7 +38,7 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 PERF_BASELINE="${PERF_BASELINE:-BENCH_pr7.json}"
-PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_AssignAndCount/1024,BM_MetricsOverhead/0,BM_MetricsOverhead/1,BM_TopKCount/50,BM_PatternCount/4,BM_ReportSerialize"
+PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_AssignAndCount/1024,BM_MetricsOverhead/1,BM_TopKCount/50,BM_PatternCount/4,BM_ReportSerialize"
 
 # Bitset kernel variants the differential test is forced through (an
 # unavailable variant falls back to the automatic choice with a stderr
@@ -136,8 +137,11 @@ stage_perf() {
     cmake -B build-ci -S . ${GENERATOR} ${LAUNCHER}
   fi
   cmake --build build-ci -j "${JOBS}" --target bench_micro
+  # Five repetitions: bench_compare.py gates on each benchmark's
+  # median, so one noisy repetition cannot fail (or pass) a gate.
   ./build-ci/bench/bench_micro \
     --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_AssignAndCount|BM_MetricsOverhead|BM_TopKCount/50$|BM_PatternCount/4$|BM_ReportSerialize' \
+    --benchmark_repetitions=5 \
     --benchmark_out=build-ci/bench_current.json \
     --benchmark_out_format=json
   # The SIMD-vs-scalar gate only binds when the run actually dispatched
@@ -154,14 +158,11 @@ stage_perf() {
     --min-speedup 'BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,1.5' \
     --min-speedup-when-kernel 'avx2|avx512|neon,BM_AndCountsScalar/1024,BM_AndCounts/1024,2.0' \
     --min-speedup-when-kernel 'avx2|avx512|neon,BM_AssignAndCountScalar/1024,BM_AssignAndCount/1024,1.5' \
-    --max-ratio-pair 'BM_SessionReuseDetect/0,BM_MetricsOverhead/0,1.02' \
-    --max-ratio-vs 'BM_SessionReuseDetect/0,BM_MetricsOverhead/0,1.10'
-  # Metrics-overhead gates, two forms: the --max-ratio-pair is
-  # machine-independent (BM_MetricsOverhead/0 is BM_SessionReuseDetect/0
-  # plus the disabled instrumentation sites, measured in the same run,
-  # so the ratio IS the overhead and the 2% cap is tight); the
-  # --max-ratio-vs compares against the pre-instrumentation baseline
-  # recording and must absorb machine drift, hence the looser 10%.
+    --max-ratio-vs 'BM_SessionReuseDetect/0,BM_SessionReuseDetect/0,1.10'
+  # Metrics-overhead gate: metrics are always on, so the cold-cache
+  # detect (BM_SessionReuseDetect/0, every instrumentation site live)
+  # is compared with its pre-instrumentation recording in the
+  # baseline. The 10% cap absorbs machine drift between the two.
 
   # Restart-path gate: opening a 100k-row session from its snapshot
   # must cost at most 0.2x of rebuilding it from CSV (the paper-facing
@@ -171,13 +172,13 @@ stage_perf() {
   cmake --build build-ci -j "${JOBS}" --target bench_storage
   ./build-ci/bench/bench_storage \
     --benchmark_filter='BM_ColdStartCsv|BM_SnapshotOpen' \
+    --benchmark_repetitions=5 \
     --benchmark_out=build-ci/bench_storage.json \
     --benchmark_out_format=json
   python3 tools/bench_compare.py "${PERF_BASELINE}" \
     build-ci/bench_storage.json \
-    --benchmarks 'BM_ColdStartCsv,BM_SnapshotOpen/0,BM_SnapshotOpen/1' \
-    --max-ratio-pair 'BM_ColdStartCsv,BM_SnapshotOpen/0,0.2' \
-    --max-ratio-pair 'BM_ColdStartCsv,BM_SnapshotOpen/1,0.2'
+    --benchmarks 'BM_ColdStartCsv,BM_SnapshotOpen/0' \
+    --max-ratio-pair 'BM_ColdStartCsv,BM_SnapshotOpen/0,0.2'
   echo "perf smoke green (json: build-ci/bench_current.json)"
 }
 

@@ -12,8 +12,6 @@ namespace metrics {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
 /// Prometheus label values escape backslash, double quote, and
 /// newline; everything else passes through verbatim.
 std::string PromEscape(const std::string& s) {
@@ -50,12 +48,6 @@ void AppendInt(std::string& out, int64_t value) {
 }
 
 }  // namespace
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 double UptimeSeconds() {
   static const WallTimer* start = new WallTimer();

@@ -3,7 +3,8 @@
 // labeled families inside a MetricsRegistry. Hot paths touch only
 // relaxed atomics; the registry mutex is crossed at family/series
 // registration (rare — call sites cache the returned reference in a
-// function-local static) and at render time.
+// function-local static) and at render time. There is no off switch:
+// every instrumentation site always counts.
 //
 // Two render surfaces:
 //   RenderPrometheus() — text exposition format (0.0.4): HELP/TYPE
@@ -27,13 +28,6 @@ namespace fairtopk {
 class JsonWriter;
 
 namespace metrics {
-
-/// Process-wide observability kill switch, checked by the serving
-/// layers before timing locks or observing histograms. Defaults to
-/// enabled; bench_micro flips it to measure the disabled-path overhead
-/// (a relaxed load and branch per instrumentation site).
-bool Enabled();
-void SetEnabled(bool enabled);
 
 /// Seconds since the process metrics clock started. The clock starts
 /// on the first call, so tools call this once early in main() to make

@@ -6,6 +6,7 @@
 
 #include "common/metrics/metrics.h"
 #include "common/timer.h"
+#include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 
 namespace fairtopk {
@@ -17,16 +18,12 @@ namespace {
 struct StorageMetrics {
   metrics::Gauge& snapshot_bytes;
   metrics::Counter& oplog_records;
-  metrics::Histogram& open_read;
-  metrics::Histogram& open_mmap;
+  metrics::Histogram& open;
   metrics::Histogram& save;
 
   static StorageMetrics& Get() {
     static StorageMetrics* m = [] {
       auto& registry = metrics::MetricsRegistry::Global();
-      auto& open = registry.HistogramFamily(
-          "fairtopk_snapshot_open_micros",
-          "Snapshot open latency by open mode", {"mode"});
       return new StorageMetrics{
           registry
               .GaugeFamily("fairtopk_snapshot_bytes",
@@ -38,8 +35,10 @@ struct StorageMetrics {
                              "Maintenance records appended to session op "
                              "logs")
               .With({}),
-          open.With({"read"}),
-          open.With({"mmap"}),
+          registry
+              .HistogramFamily("fairtopk_snapshot_open_micros",
+                               "Snapshot open latency")
+              .With({}),
           registry
               .HistogramFamily("fairtopk_snapshot_save_micros",
                                "Snapshot save (write + rename) latency")
@@ -95,20 +94,14 @@ struct SessionMetrics {
 };
 
 /// Acquires `lock` (deferred by the caller), timing the wait into
-/// `wait_histogram` when metrics are enabled and reporting a trace
-/// span when `trace` is set. With metrics disabled and no trace this
-/// is a plain lock() — no clock reads.
+/// `wait_histogram` and reporting a trace span when `trace` is set.
 template <typename Lock>
 void AcquireTimed(Lock& lock, metrics::Histogram& wait_histogram,
                   metrics::TraceSink* trace, const char* span_name) {
-  if (!metrics::Enabled() && trace == nullptr) {
-    lock.lock();
-    return;
-  }
   WallTimer timer;
   lock.lock();
   const uint64_t micros = timer.ElapsedMicros();
-  if (metrics::Enabled()) wait_histogram.Observe(micros);
+  wait_histogram.Observe(micros);
   if (trace != nullptr) trace->OnSpan(span_name, micros);
 }
 
@@ -238,14 +231,13 @@ Result<AuditSession> AuditSession::CreateWithScores(Table table,
 }
 
 Result<AuditSession> AuditSession::OpenFromSnapshot(const std::string& path,
-                                                    SessionOptions options,
-                                                    storage::OpenMode mode) {
+                                                    SessionOptions options) {
   if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
     return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
   }
   WallTimer timer;
   FAIRTOPK_ASSIGN_OR_RETURN(storage::OpenedSnapshot snap,
-                            storage::ReadSnapshot(path, mode));
+                            storage::ReadSnapshot(path));
   // The serving invariant every incremental re-rank leans on: the
   // ranking is sorted under (scores, ascending) with ties by row id.
   // The snapshot reader checks structure, not order, so pin it here.
@@ -265,12 +257,9 @@ Result<AuditSession> AuditSession::OpenFromSnapshot(const std::string& path,
   session.snapshot_path_ = path;
   session.storage_generation_ = snap.info.generation;
   session.snapshot_bytes_ = snap.info.file_bytes;
-  if (metrics::Enabled()) {
-    StorageMetrics& m = StorageMetrics::Get();
-    m.snapshot_bytes.Set(static_cast<int64_t>(snap.info.file_bytes));
-    (mode == storage::OpenMode::kRead ? m.open_read : m.open_mmap)
-        .Observe(timer.ElapsedMicros());
-  }
+  StorageMetrics& m = StorageMetrics::Get();
+  m.snapshot_bytes.Set(static_cast<int64_t>(snap.info.file_bytes));
+  m.open.Observe(timer.ElapsedMicros());
   return session;
 }
 
@@ -304,11 +293,9 @@ Status AuditSession::SaveSnapshot(const std::string& path) {
                                op_log_->fsync_policy()));
     op_log_ = std::move(fresh);
   }
-  if (metrics::Enabled()) {
-    StorageMetrics& m = StorageMetrics::Get();
-    m.snapshot_bytes.Set(static_cast<int64_t>(bytes));
-    m.save.Observe(timer.ElapsedMicros());
-  }
+  StorageMetrics& m = StorageMetrics::Get();
+  m.snapshot_bytes.Set(static_cast<int64_t>(bytes));
+  m.save.Observe(timer.ElapsedMicros());
   return Status::OK();
 }
 
@@ -360,7 +347,7 @@ SessionStorageInfo AuditSession::storage_info() const {
 Status AuditSession::LogMaintenance(const storage::LogRecord& record) {
   if (!op_log_.has_value()) return Status::OK();
   FAIRTOPK_RETURN_IF_ERROR(op_log_->Append(record));
-  if (metrics::Enabled()) StorageMetrics::Get().oplog_records.Inc();
+  StorageMetrics::Get().oplog_records.Inc();
   return Status::OK();
 }
 
@@ -428,7 +415,7 @@ Result<api::AuditResponse> AuditSession::Detect(
       auto it = cache_.find(key);
       if (it != cache_.end()) {
         Bump(&SessionServiceStats::cache_hits);
-        if (metrics::Enabled()) SessionMetrics::Get().cache_hit.Inc();
+        SessionMetrics::Get().cache_hit.Inc();
         trace_cached();
         return api::AuditResponse{descriptor, it->second, /*cached=*/true};
       }
@@ -446,19 +433,17 @@ Result<api::AuditResponse> AuditSession::Detect(
     // longer than the run itself.
     BumpAll({&SessionServiceStats::cache_hits,
              &SessionServiceStats::coalesced_hits});
-    if (metrics::Enabled()) SessionMetrics::Get().cache_coalesced.Inc();
+    SessionMetrics::Get().cache_coalesced.Inc();
     Result<std::shared_ptr<const DetectionResult>> run = flight->future.get();
     if (!run.ok()) return run.status();
     trace_cached();
     return api::AuditResponse{descriptor, *run, /*cached=*/true,
                               /*coalesced=*/true};
   }
-  if (metrics::Enabled()) SessionMetrics::Get().cache_miss.Inc();
+  SessionMetrics::Get().cache_miss.Inc();
   FAIRTOPK_ASSIGN_OR_RETURN(std::shared_ptr<const DetectionResult> shared,
                             RunAndPublish(request, key, flight));
-  if (metrics::Enabled()) {
-    SessionMetrics::Get().nodes_visited.Inc(shared->stats().nodes_visited);
-  }
+  SessionMetrics::Get().nodes_visited.Inc(shared->stats().nodes_visited);
   if (request.trace != nullptr) {
     request.trace->OnCounter("nodes_visited", shared->stats().nodes_visited);
     request.trace->OnCounter("cursor_reuse_hits",
@@ -540,7 +525,7 @@ Result<std::vector<api::AuditResponse>> AuditSession::DetectMany(
     }
     BumpAll({&SessionServiceStats::detect_queries,
              &SessionServiceStats::cache_hits});
-    if (metrics::Enabled()) SessionMetrics::Get().cache_hit.Inc();
+    SessionMetrics::Get().cache_hit.Inc();
     api::AuditResponse duplicate = responses[dup_of[i]];
     duplicate.cached = true;
     responses.push_back(std::move(duplicate));
@@ -857,21 +842,20 @@ Status AuditSession::AdoptRanking(std::vector<uint32_t> new_ranking,
             ? outcome.patched_positions
             : 0;
   }
-  const bool count = metrics::Enabled();
   switch (outcome.kind) {
     case DetectionInput::Maintenance::kNoop:
       // Same permutation — every cached result is still exact.
-      if (count) SessionMetrics::Get().maintenance_noop.Inc();
+      SessionMetrics::Get().maintenance_noop.Inc();
       break;
     case DetectionInput::Maintenance::kPatched:
       Bump(&SessionServiceStats::index_patches);
       Bump(&SessionServiceStats::positions_patched, outcome.patched_positions);
-      if (count) SessionMetrics::Get().maintenance_patched.Inc();
+      SessionMetrics::Get().maintenance_patched.Inc();
       InvalidateCache();
       break;
     case DetectionInput::Maintenance::kRebuilt:
       Bump(&SessionServiceStats::index_rebuilds);
-      if (count) SessionMetrics::Get().maintenance_rebuilt.Inc();
+      SessionMetrics::Get().maintenance_rebuilt.Inc();
       InvalidateCache();
       break;
   }

@@ -90,7 +90,6 @@
 #include "mitigate/rerank.h"
 #include "relation/table.h"
 #include "storage/op_log.h"
-#include "storage/snapshot_reader.h"
 
 namespace fairtopk {
 
@@ -196,8 +195,7 @@ class AuditSession {
   /// space is authoritative. Snapshot errors are typed (kTruncated /
   /// kChecksumMismatch / kVersionMismatch / kCorruption).
   static Result<AuditSession> OpenFromSnapshot(
-      const std::string& path, SessionOptions options = {},
-      storage::OpenMode mode = storage::OpenMode::kRead);
+      const std::string& path, SessionOptions options = {});
 
   /// Writes a snapshot of the current state to `path` via the atomic
   /// tmp+fsync+rename sequence, bumping the storage generation. With an

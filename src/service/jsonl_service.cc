@@ -825,14 +825,12 @@ std::string JsonlService::HandleLine(const std::string& line,
 
   const uint64_t micros = total.ElapsedMicros();
   const char* op_label = OpLabel(op);
-  if (metrics::Enabled()) {
-    ServiceMetrics& m = ServiceMetrics::Get();
-    m.requests.With({op_label}).Inc();
-    m.latency.With({op_label}).Observe(micros);
-    if (error_code != nullptr) m.errors.With({op_label, error_code}).Inc();
-  }
+  ServiceMetrics& m = ServiceMetrics::Get();
+  m.requests.With({op_label}).Inc();
+  m.latency.With({op_label}).Observe(micros);
+  if (error_code != nullptr) m.errors.With({op_label, error_code}).Inc();
   if (trace != nullptr && micros >= slow_threshold) {
-    if (metrics::Enabled()) ServiceMetrics::Get().slow.With({op_label}).Inc();
+    m.slow.With({op_label}).Inc();
     WriteSlowQueryLine(valid_object ? &*request : nullptr, op_label, micros,
                        trace_storage);
   }
@@ -885,9 +883,7 @@ void JsonlService::ServeStream(const LineSource& next_line,
       const auto admissible = [&] {
         return sequence - next_to_emit < max_pending;
       };
-      if (!admissible() && metrics::Enabled()) {
-        ServiceMetrics::Get().backpressure_stalls.Inc();
-      }
+      if (!admissible()) ServiceMetrics::Get().backpressure_stalls.Inc();
       room.wait(lock, admissible);
       seq = sequence++;
     }
@@ -896,7 +892,7 @@ void JsonlService::ServeStream(const LineSource& next_line,
       response.push_back('\n');
       std::lock_guard<std::mutex> lock(mutex);
       held.emplace(seq, std::move(response));
-      if (metrics::Enabled()) ServiceMetrics::Get().reorder_depth.Inc();
+      ServiceMetrics::Get().reorder_depth.Inc();
       while (!held.empty() && held.begin()->first == next_to_emit) {
         // The reader may be gone (a client that hung up after a
         // one-shot script, a closed stdout): stop writing, but keep
@@ -907,7 +903,7 @@ void JsonlService::ServeStream(const LineSource& next_line,
         }
         held.erase(held.begin());
         ++next_to_emit;
-        if (metrics::Enabled()) ServiceMetrics::Get().reorder_depth.Dec();
+        ServiceMetrics::Get().reorder_depth.Dec();
       }
       room.notify_all();
     });

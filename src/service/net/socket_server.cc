@@ -95,10 +95,8 @@ void SocketServer::AcceptLoop() {
     Connection& connection = connections_.back();
     connection.socket = std::move(*accepted);
     ++accepted_;
-    if (metrics::Enabled()) {
-      NetMetrics::Get().accepted.Inc();
-      NetMetrics::Get().active.Inc();
-    }
+    NetMetrics::Get().accepted.Inc();
+    NetMetrics::Get().active.Inc();
     connection.reader = std::thread(
         [this, &connection] { ReadLoop(connection); });
   }
@@ -152,7 +150,7 @@ void SocketServer::ReadLoop(Connection& connection) {
   // The gauge counts served connections, so the decrement pairs with
   // the accept-side increment even though the Connection node itself
   // lives until Wait().
-  if (metrics::Enabled()) NetMetrics::Get().active.Dec();
+  NetMetrics::Get().active.Dec();
 }
 
 }  // namespace fairtopk

@@ -84,7 +84,7 @@ std::string OpLogPathFor(const std::string& data_dir) {
 Result<AuditSession> OpenPersistentSession(
     const std::string& data_dir,
     const std::function<Result<AuditSession>()>& cold_start,
-    SessionOptions options, const PersistentOpenOptions& persist_options,
+    SessionOptions options, storage::FsyncPolicy fsync,
     PersistentOpenReport* report) {
   PersistentOpenReport local_report;
   if (report == nullptr) report = &local_report;
@@ -103,26 +103,25 @@ Result<AuditSession> OpenPersistentSession(
     FAIRTOPK_ASSIGN_OR_RETURN(
         storage::OpLog log,
         storage::OpLog::Create(log_path, session.storage_info().generation,
-                               persist_options.fsync));
+                               fsync));
     FAIRTOPK_RETURN_IF_ERROR(session.AttachOpLog(std::move(log)));
     return session;
   }
 
   FAIRTOPK_ASSIGN_OR_RETURN(
       AuditSession session,
-      AuditSession::OpenFromSnapshot(snapshot_path, std::move(options),
-                                     persist_options.mode));
+      AuditSession::OpenFromSnapshot(snapshot_path, std::move(options)));
   storage::OpLog::Recovered recovered;
   FAIRTOPK_ASSIGN_OR_RETURN(
       storage::OpLog log,
       storage::OpLog::Open(log_path, session.storage_info().generation,
-                           persist_options.fsync, &recovered));
+                           fsync, &recovered));
   report->replayed_records = recovered.records.size();
   report->dropped_torn_tail = recovered.dropped_torn_tail;
   report->discarded_stale_log = recovered.discarded_stale;
   WallTimer timer;
   FAIRTOPK_RETURN_IF_ERROR(ReplayRecords(session, recovered.records));
-  if (metrics::Enabled()) ReplayHistogram().Observe(timer.ElapsedMicros());
+  ReplayHistogram().Observe(timer.ElapsedMicros());
   FAIRTOPK_RETURN_IF_ERROR(session.AttachOpLog(std::move(log)));
   return session;
 }

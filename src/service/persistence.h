@@ -21,19 +21,12 @@
 #include "common/status.h"
 #include "service/audit_session.h"
 #include "storage/op_log.h"
-#include "storage/snapshot_reader.h"
 
 namespace fairtopk {
 
 /// Fixed file names inside a data directory.
 std::string SnapshotPathFor(const std::string& data_dir);
 std::string OpLogPathFor(const std::string& data_dir);
-
-/// Knobs of OpenPersistentSession.
-struct PersistentOpenOptions {
-  storage::OpenMode mode = storage::OpenMode::kRead;
-  storage::FsyncPolicy fsync = storage::FsyncPolicy::kNever;
-};
 
 /// What the open did, for startup logging and tests.
 struct PersistentOpenReport {
@@ -46,11 +39,12 @@ struct PersistentOpenReport {
 /// Opens (creating if needed) `data_dir` and returns a session bound to
 /// it. `cold_start` builds the initial session when no snapshot exists
 /// (typically LoadAuditTable + AuditSession::Create); `options` opens
-/// the snapshot path. `report` may be null.
+/// the snapshot path; `fsync` is the op log's flush policy (`{}` is
+/// kNever). `report` may be null.
 Result<AuditSession> OpenPersistentSession(
     const std::string& data_dir,
     const std::function<Result<AuditSession>()>& cold_start,
-    SessionOptions options, const PersistentOpenOptions& persist_options,
+    SessionOptions options, storage::FsyncPolicy fsync,
     PersistentOpenReport* report);
 
 }  // namespace fairtopk

@@ -59,9 +59,6 @@ const SessionField kSessionFields[] = {
      "when present (skipping the CSV load), cold start from the CSV and "
      "save the initial snapshot otherwise; update/append ops are "
      "logged, op=save compacts, and shutdown compacts automatically"},
-    {"mmap", "--mmap", "", kServeFlags | kOpenOp, 0, 0,
-     [](SessionSpec& s) -> FlagSlot { return &s.mmap; },
-     "open snapshots via mmap instead of read()"},
     {"fsync_always", "--fsync-always", "", kServeFlags | kOpenOp, 0, 0,
      [](SessionSpec& s) -> FlagSlot { return &s.fsync_always; },
      "fsync the op log after every maintenance op (durable to the power "
@@ -146,10 +143,16 @@ Status CheckSessionSource(const SessionSpec& spec) {
 
 Result<SessionSpec> SessionSpecFromJson(const JsonValue& request) {
   SessionSpec spec;
-  for (const SessionField& field : kSessionFields) {
-    const JsonValue* value = request.Find(field.key);
-    if (value == nullptr || (field.front_ends & kOpenOp) == 0) continue;
-    FAIRTOPK_RETURN_IF_ERROR(DecodeField(field, *value, field.slot(spec)));
+  for (const auto& [key, value] : request.object_members()) {
+    if (key == "op" || key == "id" || key == "name") continue;
+    const SessionField* field = nullptr;
+    for (const SessionField& row : kSessionFields) {
+      if (key == row.key && (row.front_ends & kOpenOp) != 0) field = &row;
+    }
+    if (field == nullptr) {
+      return Status::InvalidArgument("'open' does not accept '" + key + "'");
+    }
+    FAIRTOPK_RETURN_IF_ERROR(DecodeField(*field, value, field->slot(spec)));
   }
   FAIRTOPK_RETURN_IF_ERROR(CheckSessionSource(spec));
   return spec;
@@ -158,21 +161,17 @@ Result<SessionSpec> SessionSpecFromJson(const JsonValue& request) {
 Result<OpenedSession> OpenSession(const SessionSpec& spec,
                                   PersistentOpenReport* report) {
   FAIRTOPK_RETURN_IF_ERROR(CheckSessionSource(spec));
-  const storage::OpenMode mode =
-      spec.mmap ? storage::OpenMode::kMmap : storage::OpenMode::kRead;
   Result<AuditSession> session = [&]() -> Result<AuditSession> {
     if (!spec.data_dir.empty()) {
-      PersistentOpenOptions persist;
-      persist.mode = mode;
-      persist.fsync = spec.fsync_always ? storage::FsyncPolicy::kAlways
-                                        : storage::FsyncPolicy::kNever;
       return OpenPersistentSession(
           spec.data_dir, [&spec] { return SessionFromCsv(spec); },
-          spec.session, persist, report);
+          spec.session,
+          spec.fsync_always ? storage::FsyncPolicy::kAlways
+                            : storage::FsyncPolicy::kNever,
+          report);
     }
     if (!spec.snapshot.empty()) {
-      return AuditSession::OpenFromSnapshot(spec.snapshot, spec.session,
-                                            mode);
+      return AuditSession::OpenFromSnapshot(spec.snapshot, spec.session);
     }
     return SessionFromCsv(spec);
   }();

@@ -45,8 +45,6 @@ struct SessionSpec {
   /// the initial snapshot) otherwise. Maintenance ops are logged and
   /// `save` compacts. Takes precedence over `snapshot`.
   std::string data_dir;
-  /// Open snapshots via mmap instead of read().
-  bool mmap = false;
   /// fsync the op log after every maintenance op (data_dir only).
   bool fsync_always = false;
   bool ascending = false;
@@ -95,8 +93,8 @@ std::vector<Flag> SessionFlags(FrontEnd front_end, SessionSpec& spec);
 Status CheckSessionSource(const SessionSpec& spec);
 
 /// Decodes the `open` op's session fields. A present field of the
-/// wrong type or out of range is INVALID_ARGUMENT naming the key;
-/// keys outside the table (op, id, name, ...) are left to the caller.
+/// wrong type or out of range, and any key other than op, id, name and
+/// the table's `open` keys, is INVALID_ARGUMENT naming the key.
 Result<SessionSpec> SessionSpecFromJson(const JsonValue& request);
 
 /// A built session with its request-default fallbacks.

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/mmap_file.h"
 #include "storage/snapshot_format.h"
 
 namespace fairtopk {
@@ -37,17 +36,17 @@ Status ParseHeader(const uint8_t* data, size_t size, HeaderFacts* out) {
     return Status::Corruption("not a fairtopk snapshot (bad magic)");
   }
   Decoder dec(data, kHeaderBytes);
-  (void)dec.Skip(sizeof kSnapshotMagic);
-  uint32_t version, section_count, stored_crc;
-  uint64_t toc_offset, toc_bytes, file_bytes, generation;
-  (void)dec.U32(&version);
-  (void)dec.U32(&section_count);
-  (void)dec.U64(&toc_offset);
-  (void)dec.U64(&toc_bytes);
-  (void)dec.U64(&file_bytes);
-  (void)dec.U64(&generation);
-  (void)dec.Skip(12);
-  (void)dec.U32(&stored_crc);
+  uint32_t version = 0, section_count = 0, stored_crc = 0;
+  uint64_t toc_offset = 0, toc_bytes = 0, file_bytes = 0, generation = 0;
+  FAIRTOPK_RETURN_IF_ERROR(dec.Skip(sizeof kSnapshotMagic));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&version));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&section_count));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&toc_offset));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&toc_bytes));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&file_bytes));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&generation));
+  FAIRTOPK_RETURN_IF_ERROR(dec.Skip(12));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&stored_crc));
   const uint32_t actual_crc = Crc32(data, kHeaderBytes - sizeof(uint32_t));
   if (actual_crc != stored_crc) {
     return Status::ChecksumMismatch("snapshot header checksum mismatch");
@@ -447,11 +446,7 @@ Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
 
 }  // namespace
 
-Result<OpenedSnapshot> ReadSnapshot(const std::string& path, OpenMode mode) {
-  if (mode == OpenMode::kMmap) {
-    FAIRTOPK_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-    return ParseSnapshot(file.data(), file.size());
-  }
+Result<OpenedSnapshot> ReadSnapshot(const std::string& path) {
   FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, SlurpFile(path));
   return ParseSnapshot(reinterpret_cast<const uint8_t*>(bytes.data()),
                        bytes.size());

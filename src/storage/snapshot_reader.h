@@ -1,11 +1,9 @@
 // Deserializes and validates a snapshot written by snapshot_writer.h.
 //
-// Two open paths share all parsing/validation code: kRead slurps the
-// file through read(), kMmap maps it read-only (common/mmap_file.h) and
-// parses in place — the 64-byte-aligned index section keeps the word
-// arrays cache-line aligned in the mapping (today the words are still
-// copied into Bitsets; the alignment preserves the zero-copy option
-// for the multi-process sharing the roadmap plans).
+// The file is read() whole into one buffer and parsed from it; the
+// decoded bitsets own their words. (The writer's 64-byte section
+// alignment would let a future reader borrow the index words from a
+// mapping instead; no reader does today.)
 //
 // The error surface is typed and total: hostile bytes produce
 // kTruncated / kChecksumMismatch / kVersionMismatch / kCorruption,
@@ -27,12 +25,6 @@
 
 namespace fairtopk {
 namespace storage {
-
-/// How the snapshot bytes are brought into memory.
-enum class OpenMode {
-  kRead,  ///< read() the whole file into a buffer
-  kMmap,  ///< map it read-only and parse in place
-};
 
 /// Header-level facts about a snapshot, readable without parsing the
 /// sections (ProbeSnapshot) and echoed by a full open.
@@ -57,8 +49,7 @@ struct OpenedSnapshot {
 };
 
 /// Opens, checksums, parses, and structurally validates `path`.
-Result<OpenedSnapshot> ReadSnapshot(const std::string& path,
-                                    OpenMode mode = OpenMode::kRead);
+Result<OpenedSnapshot> ReadSnapshot(const std::string& path);
 
 /// Validates only the 64-byte header (magic, version, CRC, length) and
 /// returns its facts — the cheap path for `snapshot_info`.

@@ -933,6 +933,24 @@ TEST_F(CatalogJsonlServiceTest, OpenRejectsMistypedAndOutOfRangeFields) {
   EXPECT_EQ(catalog_.size(), 2u);
 }
 
+TEST_F(CatalogJsonlServiceTest, OpenRejectsUnknownKeys) {
+  // A key outside the session table once opened "ok" with the key
+  // dropped: a misspelled fsync_always served without fsync, and the
+  // retired mmap switch was ignored. Now `open` refuses, naming it.
+  for (const char* field : {R"("mmap":true)", R"("fsync_alway":true)"}) {
+    const std::string line =
+        std::string(R"({"op":"open","id":7,"name":"bad","csv":"d.csv",)") +
+        R"("rank_by":"score",)" + field + "}";
+    JsonValue v = ExpectError(line, "INVALID_ARGUMENT");
+    const std::string key =
+        std::string(field).substr(1, std::string(field).find('"', 1) - 1);
+    EXPECT_NE(v.Find("error")->StringOr("message", "").find("'" + key + "'"),
+              std::string::npos)
+        << last_response_;
+  }
+  EXPECT_EQ(catalog_.size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Ordered-mode backpressure: a registered detector that blocks until
 // released, so one slow first request deterministically stalls the

@@ -41,14 +41,6 @@ TEST(GaugeTest, TracksLevel) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
-TEST(EnabledTest, KillSwitchToggles) {
-  EXPECT_TRUE(Enabled());
-  SetEnabled(false);
-  EXPECT_FALSE(Enabled());
-  SetEnabled(true);
-  EXPECT_TRUE(Enabled());
-}
-
 TEST(HistogramTest, BucketMath) {
   // Bucket i counts values with bit_width == i: inclusive upper bound
   // 2^i - 1.

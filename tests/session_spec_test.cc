@@ -57,13 +57,13 @@ TEST(SessionSpecTest, FrontEndsAcceptTheirOptionSets) {
             (std::set<std::string>{
                 "--csv", "--rank-by", "--ascending", "--bins", "--drop",
                 "--kmin", "--kmax", "--tau", "--threads", "--lower",
-                "--alpha", "--data-dir", "--mmap", "--fsync-always",
+                "--alpha", "--data-dir", "--fsync-always",
                 "--cache-capacity", "--rebuild-threshold"}));
   EXPECT_EQ(OpenKeys(),
             (std::set<std::string>{
                 "csv", "rank_by", "ascending", "bins", "drop", "k_min",
                 "k_max", "tau", "threads", "lower", "alpha", "snapshot",
-                "data_dir", "mmap", "fsync_always", "cache_capacity",
+                "data_dir", "fsync_always", "cache_capacity",
                 "rebuild_threshold"}));
 }
 
@@ -79,14 +79,14 @@ TEST(SessionSpecTest, EveryRowOwnsADistinctField) {
   EXPECT_EQ(targets.size(), SessionFields().size());
   // No SessionSpec field is added without a row: the binding below
   // names every member and stops compiling when one is added.
-  auto& [csv, rank_by, snapshot, data_dir, mmap, fsync_always, ascending,
-         bins, drop, k_min, k_max, tau, threads, lower_fraction, alpha,
-         session] = spec;
-  (void)csv, (void)rank_by, (void)snapshot, (void)data_dir, (void)mmap;
+  auto& [csv, rank_by, snapshot, data_dir, fsync_always, ascending, bins,
+         drop, k_min, k_max, tau, threads, lower_fraction, alpha, session] =
+      spec;
+  (void)csv, (void)rank_by, (void)snapshot, (void)data_dir;
   (void)fsync_always, (void)ascending, (void)bins, (void)drop, (void)k_min;
   (void)k_max, (void)tau, (void)threads, (void)lower_fraction, (void)alpha;
   (void)session;
-  EXPECT_EQ(SessionFields().size(), 17u);
+  EXPECT_EQ(SessionFields().size(), 16u);
 }
 
 TEST(SessionSpecTest, FlagsFillTheSpec) {
@@ -96,7 +96,7 @@ TEST(SessionSpecTest, FlagsFillTheSpec) {
                      "--drop", "id,name", "--kmin", "5", "--kmax", "20",
                      "--tau", "6", "--threads", "0", "--lower", "0.3",
                      "--alpha", "0.9", "--cache-capacity", "0",
-                     "--rebuild-threshold", "0.25", "--mmap"},
+                     "--rebuild-threshold", "0.25", "--fsync-always"},
                     spec)
                   .ok());
   EXPECT_EQ(spec.csv, "d.csv");
@@ -111,8 +111,7 @@ TEST(SessionSpecTest, FlagsFillTheSpec) {
   EXPECT_DOUBLE_EQ(spec.alpha, 0.9);
   EXPECT_EQ(spec.session.cache_capacity, 0u);
   EXPECT_DOUBLE_EQ(spec.session.rebuild_threshold, 0.25);
-  EXPECT_TRUE(spec.mmap);
-  EXPECT_FALSE(spec.fsync_always);
+  EXPECT_TRUE(spec.fsync_always);
 }
 
 TEST(SessionSpecTest, MalformedFlagValuesAreRejectedByName) {
@@ -163,8 +162,9 @@ TEST(SessionSpecTest, JsonFillsTheSpec) {
 TEST(SessionSpecTest, JsonErrorsNameTheKey) {
   const std::string source = R"("csv":"d.csv","rank_by":"score")";
   const std::vector<std::pair<std::string, std::string>> cases = {
-      // jsonl_service_test covers the mistyped alpha/ascending/lower
-      // and the out-of-range k_min/threads through the `open` op.
+      // jsonl_service_test covers the mistyped alpha/ascending/lower,
+      // the out-of-range k_min/threads and the unknown keys through
+      // the `open` op.
       {R"("k_min":0)", "'k_min' expects an integer in [1, 1073741824]"},
       {R"("tau":2.5)", "'tau' expects an integer in [1, 1073741824]"},
       {R"("drop":["a",1])", "'drop' expects an array of strings"},

@@ -9,6 +9,10 @@ Usage:
                    [--max-ratio-pair A,B,X]...
                    [--max-ratio-vs BASELINE_NAME,CURRENT_NAME,X]...
 
+Each benchmark's time is its `_median` aggregate when CURRENT or
+BASELINE was recorded with --benchmark_repetitions, else its single
+run's real_time.
+
 Checks, in order:
   * Regression gate: for every benchmark present in BOTH files (or only
     the --benchmarks subset when given), current real_time must be at
@@ -31,14 +35,15 @@ Checks, in order:
     failing.
   * Intra-run ratio caps: --max-ratio-pair A,B,X asserts
     real_time(B) <= X * real_time(A) inside CURRENT alone — the
-    machine-independent form of a tight overhead bound (e.g. "the
-    metrics-enabled path costs at most 2% over the disabled path").
+    machine-independent form of a tight overhead bound (e.g. "a
+    snapshot open costs at most 0.2x a CSV cold start").
   * Cross-name baseline caps: --max-ratio-vs BASELINE_NAME,
     CURRENT_NAME,X asserts real_time(CURRENT_NAME in CURRENT) <=
     X * real_time(BASELINE_NAME in BASELINE) — for gating a NEW
     benchmark against a DIFFERENT benchmark recorded in an old
-    baseline (e.g. the instrumentation-disabled detect path against
-    the pre-instrumentation detect bench). Skipped with a notice when
+    baseline, or a benchmark against its own recording from before a
+    change (e.g. the always-instrumented detect path against the
+    pre-instrumentation detect bench). Skipped with a notice when
     BASELINE_NAME is absent from the baseline file. Machine-sensitive
     like --max-ratio; pick X accordingly.
 
@@ -50,15 +55,26 @@ import json
 import sys
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def load_report(path):
-    """Returns ({benchmark name: real_time in ns}, context dict)."""
+    """Returns ({benchmark name: real_time in ns}, context dict).
+
+    A repeated benchmark is read from its `median` aggregate; one
+    recorded once, from its single run.
+    """
     with open(path) as f:
         doc = json.load(f)
-    times = {}
+    times, medians = {}, {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        times[bench["name"]] = float(bench["real_time"])
+        ns = float(bench["real_time"]) * NS_PER_UNIT[
+            bench.get("time_unit", "ns")]
+        if bench.get("run_type") != "aggregate":
+            times[bench["name"]] = ns
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = ns
+    times.update(medians)
     return times, doc.get("context", {})
 
 

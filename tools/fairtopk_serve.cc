@@ -108,7 +108,8 @@ void PrintUsage(std::FILE* out, Args& args) {
       "serves the same protocol to concurrent TCP connections until\n"
       "SIGINT/SIGTERM. Ops: detect, detect_batch, capabilities,\n"
       "suggest, verify, rerank, update, append, stats, invalidate,\n"
-      "plus the session catalog: open, close, list, use\n"
+      "metrics, save, snapshot_info, plus the session catalog: open,\n"
+      "close, list, use\n"
       "(see README.md, \"Serving audits\" and \"Network serving\";\n"
       "capabilities lists every registered detector with its parameter\n"
       "schema). The startup CSV is session \"default\".\n"
